@@ -18,6 +18,7 @@ __all__ = [
     "DomainError",
     "apply_primitive",
     "finite_difference_check",
+    "finite_difference_error",
     "add",
     "sub",
     "mul",
@@ -402,10 +403,10 @@ def apply_primitive(op: str, *inputs, **kwargs) -> Tensor:
 def finite_difference_check(
     f: Callable[[Tensor], Tensor], x: np.ndarray, step: float = 1e-5
 ) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between the tape gradient of ``f`` and central differences.
 
-    ``f`` must be scalar-valued. Relative error per coordinate is
-    ``|analytic - numeric| / (|numeric| + 1e-12)``.
+    ``f`` must be scalar-valued. See ``finite_difference_error`` for the
+    error measure.
     """
     x = np.asarray(x, dtype=np.float64)
     xt = Tensor(x.copy(), requires_grad=True)
@@ -414,19 +415,35 @@ def finite_difference_check(
         raise DimensionError("finite_difference_check requires a scalar-valued f")
     out.backward()
     analytic = xt.grad if xt.grad is not None else np.zeros_like(x)
+    return finite_difference_error(
+        lambda v: float(f(Tensor(v)).data), analytic, x, step
+    )
 
+
+def finite_difference_error(
+    value: Callable[[np.ndarray], float],
+    analytic: np.ndarray,
+    x: np.ndarray,
+    step: float = 1e-5,
+) -> float:
+    """Max relative error between ``analytic`` and central differences of ``value``.
+
+    ``value`` maps an array shaped like ``x`` to a float. Relative error per
+    coordinate is ``|analytic - numeric| / (|numeric| + 1e-12)``.
+    """
+    x = np.array(x, dtype=np.float64)
     numeric = np.zeros_like(x)
     flat = x.ravel()
     num_flat = numeric.ravel()
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        hi = float(f(Tensor(x)).data)
+        hi = value(x)
         flat[i] = orig - step
-        lo = float(f(Tensor(x)).data)
+        lo = value(x)
         flat[i] = orig
         if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise DomainError("finite_difference_check: f produced non-finite output")
+            raise DomainError("finite difference: value produced non-finite output")
         num_flat[i] = (hi - lo) / (2.0 * step)
 
     err = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-12)

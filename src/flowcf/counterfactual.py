@@ -6,6 +6,12 @@ lambda-weighted sum of two hinge penalties: a classification-margin hinge
 once the flow density reaches the per-class training median). Batches are
 optimized jointly but the rows never couple, so batch and single-instance
 runs produce the same counterfactuals.
+
+Each search step evaluates the objective and its input gradient in closed
+form with numpy, from the models' ``proba_and_input_vjp`` and
+``log_prob_and_input_grad``; the models are only read. The tape-based loss
+functions below (``validity_loss_binary`` and friends) build the same
+objective on the autodiff graph, which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .base import check_array
-from .flows import FlowNumericsError, MaskedAutoregressiveFlow
+from .flows import MaskedAutoregressiveFlow
 from .models import _one_hot
 
 __all__ = [
@@ -139,9 +145,44 @@ def distance(x0: Tensor, x: Tensor, kind: str = "l2") -> Tensor:
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
-def _cross_entropy_to_target(probs: Tensor, targets: np.ndarray) -> Tensor:
-    p_target, _ = _target_probs(probs, targets, probs.shape[1])
-    return -1.0 * ad.log(p_target)
+# closed-form pieces of the search objective --------------------------------
+
+
+def _distance_and_grad(x0: np.ndarray, x: np.ndarray, kind: str):
+    """Per-row distance (as ``distance``) and its gradient with respect to x."""
+    delta = x - x0
+    if kind == "l1":
+        return np.abs(delta).sum(axis=1), np.sign(delta)
+    dist = np.sqrt((delta**2).sum(axis=1) + 1e-12)
+    return dist, delta * (1.0 / dist)[:, None]
+
+
+def _validity_and_grad(probs: np.ndarray, targets: np.ndarray, kind: str,
+                       epsilon: float):
+    """Per-row validity loss and its gradient with respect to ``probs``.
+
+    ``kind`` is "cross_entropy" (-log p(target)) or "hinge": the binary
+    hinge for two classes, else the hinge against the best rival class.
+    """
+    rows = np.arange(targets.size)
+    p_target = probs[rows, targets]
+    grad = np.zeros_like(probs)
+    if kind == "cross_entropy":
+        grad[rows, targets] = -1.0 / p_target
+        return -np.log(p_target), grad
+    if probs.shape[1] == 2:
+        margin = 0.5 + epsilon - p_target
+        rival = None
+    else:
+        # ties resolve toward the lower index, as in ad.row_max
+        rival = (probs * (1.0 - _one_hot(targets, probs.shape[1]))).argmax(axis=1)
+        margin = probs[rows, rival] + epsilon - p_target
+    active = (margin > 0.0).astype(np.float64)
+    grad[rows, targets] = -active
+    if rival is not None:
+        grad[rows, rival] += active
+    # np.maximum keeps a NaN margin, so the row fails the finiteness check
+    return np.maximum(margin, 0.0), grad
 
 
 class _BatchOptimizer:
@@ -174,8 +215,12 @@ class _BatchOptimizer:
         self.has_fallback = np.zeros(n, dtype=bool)
 
     # subclass hooks -----------------------------------------------------
-    def row_losses(self, xt: Tensor, idx: np.ndarray):
-        """Return (objective rows, dist rows, validity rows, plaus rows, logp rows)."""
+    def value_and_grad(self, idx: np.ndarray):
+        """Objective of rows ``idx`` at ``self.x[idx]`` and its gradient.
+
+        Returns (objective rows, gradient rows, (dist, validity, plaus,
+        logp) rows). A row whose numbers overflow comes back non-finite.
+        """
         raise NotImplementedError
 
     def converged(self, idx, val_rows, plaus_rows, obj_change):
@@ -183,10 +228,6 @@ class _BatchOptimizer:
 
     def remember_feasible(self, idx, dist_rows, val_rows, plaus_rows, logp_rows):
         """Optionally record the current iterate as a usable fallback."""
-
-    def bad_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Rows of idx whose state can no longer be evaluated."""
-        return ~np.all(np.isfinite(self.x[idx]), axis=1)
 
     # loop ---------------------------------------------------------------
     def run(self) -> list[CfResult]:
@@ -197,34 +238,18 @@ class _BatchOptimizer:
             if not self.active.any():
                 break
             idx = np.flatnonzero(self.active)
-            try:
-                xt = Tensor(self.x[idx], requires_grad=True)
-                obj, dist_rows, val_rows, plaus_rows, logp_rows = self.row_losses(
-                    xt, idx
-                )
-                loss = ad.tsum(obj)
-                loss.backward()
-                grad = xt.grad
-            except (FlowNumericsError, ad.DomainError):
-                bad = self.bad_rows(idx)
-                if not bad.any():
-                    bad = np.ones(idx.size, dtype=bool)
-                self._fail(idx[bad], it, start)
-                continue
+            with np.errstate(all="ignore"):
+                obj_data, grad, rows = self.value_and_grad(idx)
 
-            row_finite = np.all(np.isfinite(grad), axis=1) & np.isfinite(obj.data)
+            row_finite = np.all(np.isfinite(grad), axis=1) & np.isfinite(obj_data)
             if not row_finite.all():
                 self._fail(idx[~row_finite], it, start)
                 idx = idx[row_finite]
                 if idx.size == 0:
                     continue
-                keep = row_finite
-                obj_data = obj.data[keep]
-                dist_rows, val_rows = dist_rows[keep], val_rows[keep]
-                plaus_rows, logp_rows = plaus_rows[keep], logp_rows[keep]
-                grad = grad[keep]
-            else:
-                obj_data = obj.data
+                obj_data, grad = obj_data[row_finite], grad[row_finite]
+                rows = tuple(r[row_finite] for r in rows)
+            dist_rows, val_rows, plaus_rows, logp_rows = rows
 
             self.dist_loss[idx] = dist_rows
             self.val_loss[idx] = val_rows
@@ -317,21 +342,20 @@ class _PlausibleOptimizer(_BatchOptimizer):
         self.flow = flow
         self.log_delta = delta.for_labels(targets)
 
-    def row_losses(self, xt, idx):
+    def value_and_grad(self, idx):
         cfg = self.cfg
-        targets = self.targets[idx]
-        probs = self.clf.predict_proba_tensor(xt)
-        if cfg.validity_loss == "cross_entropy":
-            lv = _cross_entropy_to_target(probs, targets)
-        elif self.clf.n_classes_ == 2:
-            lv = validity_loss_binary(probs, targets, cfg.epsilon)
-        else:
-            lv = validity_loss_multiclass(probs, targets, cfg.epsilon)
-        logp = self.flow.log_prob_tensor(xt, targets)
-        lp = plausibility_loss(logp, self.log_delta[idx])
-        dist = distance(Tensor(self.x0[idx]), xt, cfg.distance_kind)
-        obj = dist + Tensor(cfg.lam) * (lv + lp)
-        return obj, dist.data, lv.data, lp.data, logp.data
+        x, targets = self.x[idx], self.targets[idx]
+        dist, g_dist = _distance_and_grad(self.x0[idx], x, cfg.distance_kind)
+        probs, clf_vjp = self.clf.proba_and_input_vjp(x)
+        val, g_probs = _validity_and_grad(
+            probs, targets, cfg.validity_loss, cfg.epsilon
+        )
+        logp, g_logp = self.flow.log_prob_and_input_grad(x, targets)
+        gap = self.log_delta[idx] - logp
+        plaus = np.maximum(gap, 0.0)
+        obj = dist + cfg.lam * (val + plaus)
+        grad = g_dist + cfg.lam * (clf_vjp(g_probs) - (gap > 0.0)[:, None] * g_logp)
+        return obj, grad, (dist, val, plaus, logp)
 
     def converged(self, idx, val_rows, plaus_rows, obj_change):
         if self.cfg.validity_loss == "cross_entropy":
@@ -374,29 +398,46 @@ class _WachterOptimizer(_BatchOptimizer):
         super().__init__(x0, targets, cfg)
         self.clf = clf
 
-    def row_losses(self, xt, idx):
+    def value_and_grad(self, idx):
         cfg = self.cfg
-        targets = self.targets[idx]
-        probs = self.clf.predict_proba_tensor(xt)
-        ce = _cross_entropy_to_target(probs, targets)
-        dist = distance(Tensor(self.x0[idx]), xt, cfg.distance_kind)
-        obj = ce + Tensor(cfg.c_reg) * dist
-        zeros = np.zeros(idx.size)
-        return obj, dist.data, ce.data, zeros, np.full(idx.size, np.nan)
+        x = self.x[idx]
+        dist, g_dist = _distance_and_grad(self.x0[idx], x, cfg.distance_kind)
+        probs, clf_vjp = self.clf.proba_and_input_vjp(x)
+        ce, g_probs = _validity_and_grad(
+            probs, self.targets[idx], "cross_entropy", cfg.epsilon
+        )
+        obj = ce + cfg.c_reg * dist
+        grad = clf_vjp(g_probs) + cfg.c_reg * g_dist
+        return obj, grad, (dist, ce, np.zeros(idx.size), np.full(idx.size, np.nan))
 
     def converged(self, idx, val_rows, plaus_rows, obj_change):
         return obj_change < self.cfg.convergence_tol
 
 
+def _check_targets(targets, n_rows: int, n_classes: int) -> np.ndarray:
+    """Targets as int64; ValueError unless one class index per row."""
+    t = np.asarray(targets)
+    if t.ndim != 1 or t.shape[0] != n_rows:
+        raise ValueError(
+            f"targets must be 1-d with one entry per row of x0_batch "
+            f"({n_rows}); got shape {t.shape}"
+        )
+    if t.size and not np.issubdtype(t.dtype, np.integer):
+        raise ValueError(f"targets must be integer class indices, got {t.dtype}")
+    if t.size and (t.min() < 0 or t.max() >= n_classes):
+        raise ValueError(f"targets must lie in [0, {n_classes})")
+    return t.astype(np.int64)
+
+
 def generate(x0_batch, targets, clf, flow, delta, cfg: CfConfig) -> list[CfResult]:
     """Counterfactuals under the distance + lambda * (validity + plausibility) objective."""
     x0 = check_array(x0_batch)
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = _check_targets(targets, x0.shape[0], clf.n_classes_)
     return _PlausibleOptimizer(x0, targets, clf, flow, delta, cfg).run()
 
 
 def wachter_generate(x0_batch, targets, clf, cfg: CfConfig) -> list[CfResult]:
     """Baseline: cross-entropy to the target plus c_reg-weighted distance."""
     x0 = check_array(x0_batch)
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = _check_targets(targets, x0.shape[0], clf.n_classes_)
     return _WachterOptimizer(x0, targets, clf, cfg).run()

@@ -3,9 +3,11 @@
 Each transform is a MADE-style masked network producing per-coordinate
 shift and log-scale from the preceding coordinates plus a one-hot class
 context; coordinate orderings are reversed between consecutive transforms.
-The density direction (data -> latent) needs a single masked pass and is
-differentiable with respect to the input, which is what the counterfactual
-objective consumes.
+The density direction (data -> latent) needs a single masked pass. Its numpy
+form also returns the closed-form input gradient of the log-density
+(``log_prob_and_input_grad``), which is what the counterfactual search
+consumes; the graph form on the autodiff tape (``log_prob_tensor``) trains
+the flow and checks that gradient in the tests.
 """
 
 from __future__ import annotations
@@ -95,26 +97,56 @@ class MadeTransform:
 
     # numpy path ---------------------------------------------------------
     def _shift_log_scale_np(self, x: np.ndarray, context: np.ndarray):
+        """Shift, log-scale and the VJP (g_shift, g_log_scale) -> g_x."""
         w1, b1, w2, b2, wm, bm, wa, ba = self.params
         m1, m2, mo = self.masks
-        inp = np.concatenate([x, context], axis=1)
-        h = np.maximum(inp @ (w1 * m1) + b1, 0.0)
-        h = np.maximum(h @ (w2 * m2) + b2, 0.0)
-        shift = h @ (wm * mo) + bm
-        log_scale = np.clip(h @ (wa * mo) + ba, -LOG_SCALE_BOUND, LOG_SCALE_BOUND)
-        return shift, log_scale
+        w1, w2, wm, wa = w1 * m1, w2 * m2, wm * mo, wa * mo
+        # the VJP keeps boolean masks, not the float pre-activations
+        pre = np.concatenate([x, context], axis=1) @ w1 + b1
+        relu1 = pre > 0.0
+        pre = np.maximum(pre, 0.0) @ w2 + b2
+        relu2 = pre > 0.0
+        h = np.maximum(pre, 0.0)
+        raw = h @ wa + ba
+        unclipped = (raw > -LOG_SCALE_BOUND) & (raw < LOG_SCALE_BOUND)
+
+        def vjp(g_shift, g_log_scale):
+            g = g_shift @ wm.T + (g_log_scale * unclipped) @ wa.T
+            g = (g * relu2) @ w2.T
+            # only the data columns of the input need a cotangent
+            return (g * relu1) @ w1[: self.d].T
+
+        shift = h @ wm + bm
+        return shift, np.clip(raw, -LOG_SCALE_BOUND, LOG_SCALE_BOUND), vjp
+
+    def inverse_and_vjp(self, x: np.ndarray, context: np.ndarray):
+        """Data -> latent: z, per-row sum of log-scales, and their input VJP.
+
+        The VJP maps cotangents ``(g_z, g_log_scale_sum)`` of shapes (n, d)
+        and (n,) to the cotangent on ``x``.
+        """
+        shift, log_scale, conditioner_vjp = self._shift_log_scale_np(x, context)
+        scale = np.exp(-log_scale)
+        z = (x - shift) * scale
+
+        def vjp(g_z, g_log_scale_sum):
+            g_diff = g_z * scale
+            # dz/dlog_scale = -z on the diagonal
+            g_log_scale = g_log_scale_sum[:, None] - g_z * z
+            return g_diff + conditioner_vjp(-g_diff, g_log_scale)
+
+        return z, log_scale.sum(axis=1), vjp
 
     def inverse_np(self, x: np.ndarray, context: np.ndarray):
-        shift, log_scale = self._shift_log_scale_np(x, context)
-        z = (x - shift) * np.exp(-log_scale)
-        return z, log_scale.sum(axis=1)
+        z, row_log_scale, _ = self.inverse_and_vjp(x, context)
+        return z, row_log_scale
 
     def forward_np(self, z: np.ndarray, context: np.ndarray):
         """Latent -> data, one coordinate per pass in degree order."""
         x = np.zeros_like(z)
         log_det = np.zeros(z.shape[0])
         for deg in range(1, self.d + 1):
-            shift, log_scale = self._shift_log_scale_np(x, context)
+            shift, log_scale, _ = self._shift_log_scale_np(x, context)
             i = int(np.where(self.degrees == deg)[0][0])
             x[:, i] = shift[:, i] + z[:, i] * np.exp(log_scale[:, i])
             log_det += log_scale[:, i]
@@ -177,28 +209,46 @@ class MaskedAutoregressiveFlow(BaseEstimator):
         )
         return base - total_log_scale
 
-    def score_samples(self, X, y) -> np.ndarray:
-        X = check_array(X)
+    def _inverse_stack(self, X: np.ndarray, y):
+        """Latent of every row, the summed log-scales, and each transform's VJP."""
         context = self._context(y)
         z = X
         total = np.zeros(X.shape[0])
-        for k, tr in enumerate(self.transforms_):
-            z, row_log_scale = tr.inverse_np(z, context)
-            if not np.all(np.isfinite(z)):
-                raise FlowNumericsError(f"transform {k}: non-finite latent")
+        vjps = []
+        for tr in self.transforms_:
+            z, row_log_scale, vjp = tr.inverse_and_vjp(z, context)
             total += row_log_scale
-        base = -0.5 * (z**2).sum(axis=1) - self.d_ * _HALF_LOG_2PI
-        return base - total
+            vjps.append(vjp)
+        return z, total, vjps
+
+    def _base_log_prob(self, z: np.ndarray) -> np.ndarray:
+        return -0.5 * (z**2).sum(axis=1) - self.d_ * _HALF_LOG_2PI
+
+    def score_samples(self, X, y) -> np.ndarray:
+        z, total, _ = self._inverse_stack(check_array(X), y)
+        if not np.all(np.isfinite(z)):
+            raise FlowNumericsError("non-finite latent")
+        return self._base_log_prob(z) - total
+
+    def log_prob_and_input_grad(self, X: np.ndarray, y):
+        """Per-row log p(x|y) and its gradient with respect to that row.
+
+        Closed-form reverse pass through the stack; no autodiff graph is
+        built and no parameter gradient is touched. Rows never interact, so
+        a row whose values overflow comes back non-finite on its own
+        instead of raising.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        z, total, vjps = self._inverse_stack(X, y)
+        grad = -z
+        per_row = np.full(X.shape[0], -1.0)  # d logp / d(summed log-scales)
+        for vjp in reversed(vjps):
+            grad = vjp(grad, per_row)
+        return self._base_log_prob(z) - total, grad
 
     def inverse(self, X, y):
         """Data -> latent; returns (z, log|det dz/dx|) per row."""
-        X = check_array(X)
-        context = self._context(y)
-        z = X
-        total = np.zeros(X.shape[0])
-        for tr in self.transforms_:
-            z, row_log_scale = tr.inverse_np(z, context)
-            total += row_log_scale
+        z, total, _ = self._inverse_stack(check_array(X), y)
         return z, -total
 
     def forward(self, Z, y):

@@ -1,8 +1,10 @@
 """Differentiable classifiers: logistic regression and a 3-layer MLP.
 
-Both expose a numpy ``predict_proba`` / ``predict`` surface and a
-graph-building ``predict_proba_tensor`` so the probabilities stay
-differentiable with respect to the input during counterfactual search.
+Both expose a numpy ``predict_proba`` / ``predict`` surface plus
+``proba_and_input_vjp``, which returns the probabilities together with their
+closed-form vector-Jacobian product with respect to the input; the
+counterfactual search runs on that. Training, and the gradient checks in the
+tests, use the graph-building ``predict_proba_tensor`` on the autodiff tape.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ class _GradientClassifier(BaseEstimator):
     def _logits(self, x: Tensor) -> Tensor:
         raise NotImplementedError
 
+    def _logits_and_vjp(self, X: np.ndarray):
+        """Numpy logits and a closure mapping d/dlogits to d/dX."""
+        raise NotImplementedError
+
     # shared -------------------------------------------------------------
     @property
     def _cfg(self) -> TrainConfig:
@@ -131,16 +137,36 @@ class _GradientClassifier(BaseEstimator):
             nll = nll + Tensor(0.5 * weight_decay) * penalty
         return nll
 
-    def predict_proba_tensor(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.n_features_:
+    def _check_width(self, width: int) -> None:
+        if width != self.n_features_:
             raise ad.DimensionError(
-                f"expected {self.n_features_} features, got {x.shape[-1]}"
+                f"expected {self.n_features_} features, got {width}"
             )
+
+    def predict_proba_tensor(self, x: Tensor) -> Tensor:
+        self._check_width(x.shape[-1])
         return ad.softmax(self._logits(x))
 
+    def proba_and_input_vjp(self, X: np.ndarray):
+        """Class probabilities of the rows of a 2-d float array, and their VJP.
+
+        The VJP maps an (n, n_classes) cotangent on the probabilities to the
+        (n, n_features) cotangent on ``X``. Rows never interact, and no
+        parameter gradient is computed or stored.
+        """
+        self._check_width(X.shape[-1])
+        logits, logits_vjp = self._logits_and_vjp(X)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+
+        def vjp(g: np.ndarray) -> np.ndarray:
+            dot = (g * probs).sum(axis=1, keepdims=True)
+            return logits_vjp(probs * (g - dot))
+
+        return probs, vjp
+
     def predict_proba(self, X) -> np.ndarray:
-        X = check_array(X)
-        return self.predict_proba_tensor(Tensor(X)).data
+        return self.proba_and_input_vjp(check_array(X))[0]
 
     def predict(self, X) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=1)
@@ -197,6 +223,10 @@ class LogisticRegression(_GradientClassifier):
         w, b = self._param_tensors
         return x @ w + b
 
+    def _logits_and_vjp(self, X):
+        w, b = self._params
+        return X @ w + b, lambda g: g @ w.T
+
 
 class MlpClassifier(_GradientClassifier):
     """Three affine layers (d -> hidden -> hidden -> C) with relu activations."""
@@ -226,6 +256,19 @@ class MlpClassifier(_GradientClassifier):
         h = ad.relu(x @ w1 + b1)
         h = ad.relu(h @ w2 + b2)
         return h @ w3 + b3
+
+    def _logits_and_vjp(self, X):
+        w1, b1, w2, b2, w3, b3 = self._params
+        pre = X @ w1 + b1
+        relu1 = pre > 0.0
+        pre = np.maximum(pre, 0.0) @ w2 + b2
+        relu2 = pre > 0.0
+
+        def vjp(g):
+            g = (g @ w3.T) * relu2
+            return ((g @ w2.T) * relu1) @ w1.T
+
+        return np.maximum(pre, 0.0) @ w3 + b3, vjp
 
     @classmethod
     def from_dict(cls, payload: dict):

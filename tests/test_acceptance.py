@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from flowcf import autodiff as ad
-from flowcf.autodiff import Tensor, finite_difference_check
+from flowcf.autodiff import Tensor, finite_difference_check, finite_difference_error
 from flowcf.counterfactual import (
     CfConfig,
+    _PlausibleOptimizer,
     compute_delta,
     distance,
     generate,
@@ -264,7 +265,22 @@ def test_criterion_7_property_suite(property_setup, batch_vs_sequential, capsys)
         return ad.tsum(dist + Tensor(cfg.lam) * (lv + lp))
 
     err_obj = finite_difference_check(objective, points)
-    checks["gradients"] = max(err_clf, err_flow, err_obj) < 1e-4
+
+    # the same objective through the closed-form gradient the search runs on
+    search = _PlausibleOptimizer(x0, labels, clf, flow, delta, cfg)
+    rows = np.arange(len(points))
+
+    def search_value_and_grad(x):
+        search.x[:] = x
+        obj, grad, _ = search.value_and_grad(rows)
+        return float(obj.sum()), grad
+
+    err_search = finite_difference_error(
+        lambda x: search_value_and_grad(x)[0],
+        search_value_and_grad(points)[1],
+        points,
+    )
+    checks["gradients"] = max(err_clf, err_flow, err_obj, err_search) < 1e-4
 
     # (b) flow round-trip invertibility
     z, _ = flow.inverse(X_test, 1 - targets)

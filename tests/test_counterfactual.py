@@ -1,13 +1,18 @@
 """Counterfactual objective pieces and the batch search loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowcf import autodiff as ad
 from flowcf.autodiff import DimensionError, Tensor
 from flowcf.counterfactual import (
     CfConfig,
     DensityThreshold,
+    _PlausibleOptimizer,
+    _WachterOptimizer,
     compute_delta,
     distance,
     generate,
@@ -17,8 +22,8 @@ from flowcf.counterfactual import (
     wachter_generate,
 )
 from flowcf.data import MinMaxScaler, make_moons
-from flowcf.flows import MaskedAutoregressiveFlow
-from flowcf.models import LogisticRegression, TrainConfig
+from flowcf.flows import LOG_SCALE_BOUND, MaskedAutoregressiveFlow
+from flowcf.models import LogisticRegression, MlpClassifier, TrainConfig
 
 
 # fixtures -----------------------------------------------------------------
@@ -250,3 +255,184 @@ def test_wachter_flips_class_without_density_term(setup):
     xcf = np.array([r.x_cf for r in res])
     assert np.array_equal(clf.predict(xcf), targets)
     assert all(np.isnan(r.log_density_at_cf) for r in res)
+
+
+def test_search_leaves_frozen_models_untouched(setup):
+    X, y, clf, flow, delta = setup
+    tensors = clf._param_tensors + [
+        t for tr in flow.transforms_ for t in tr.param_tensors
+    ]
+    arrays = clf._params + [p for tr in flow.transforms_ for p in tr.params]
+    for t in tensors:
+        t.zero_grad()  # other tests run the tape on these models
+    before = [a.copy() for a in arrays]
+    x0, targets = X[:6], 1 - y[:6]
+    cfg = CfConfig(max_iters=200)
+    for search in (
+        lambda: generate(x0, targets, clf, flow, delta, cfg),
+        lambda: wachter_generate(x0, targets, clf, cfg),
+    ):
+        search()
+        assert all(t.grad is None for t in tensors)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
+def test_non_finite_row_fails_alone(setup):
+    _, _, clf, flow, delta = setup
+    x0 = np.array([[0.2, 0.3], [0.8, 0.1], [1e160, -1e160]])
+    targets = np.array([1, 0, 1])
+    cfg = CfConfig(max_iters=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow stays inside the search
+        batch = generate(x0, targets, clf, flow, delta, cfg)
+    assert [r.covered for r in batch] == [True, True, False]
+    assert batch[2].iterations_used == 1 and np.all(np.isnan(batch[2].x_cf))
+    for i in range(2):
+        single = generate(x0[i : i + 1], targets[i : i + 1], clf, flow, delta, cfg)
+        assert np.allclose(single[0].x_cf, batch[i].x_cf, atol=1e-6)
+        assert single[0].iterations_used == batch[i].iterations_used
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_rows=st.integers(0, 3),
+    values=st.lists(st.integers(-2, 3), max_size=4),
+    two_d=st.booleans(),
+)
+def test_targets_contract(setup, n_rows, values, two_d):
+    X, _, clf, flow, delta = setup
+    x0 = X[:n_rows]
+    targets = np.array(values, dtype=np.int64)
+    if two_d:
+        targets = targets[:, None]
+    valid = (
+        not two_d
+        and len(values) == n_rows
+        and all(0 <= v < clf.n_classes_ for v in values)
+    )
+    cfg = CfConfig(max_iters=1)
+    for search in (
+        lambda: generate(x0, targets, clf, flow, delta, cfg),
+        lambda: wachter_generate(x0, targets, clf, cfg),
+    ):
+        if valid:
+            assert [r.target for r in search()] == values
+        else:
+            with pytest.raises(ValueError):
+                search()
+
+
+def test_targets_must_be_integers(setup):
+    X, _, clf, flow, delta = setup
+    with pytest.raises(ValueError):
+        generate(X[:2], np.array([1.0, 0.0]), clf, flow, delta, CfConfig(max_iters=1))
+
+
+# fused search gradient against the autodiff tape ---------------------------
+
+
+def _random_models(arch, n_classes, n_transforms, seed):
+    """Untrained models with random weights, so hinges, ReLUs and the
+    log-scale clip take both branches across a batch."""
+    rng = np.random.default_rng(seed)
+    clf = LogisticRegression() if arch == "lr" else MlpClassifier(hidden=16)
+    clf.n_features_, clf.n_classes_ = 2, n_classes
+    clf._init_params(2, n_classes, rng)
+    for p in clf._params:
+        p[...] = rng.normal(0.0, 1.5, size=p.shape)
+    flow = MaskedAutoregressiveFlow(n_transforms=n_transforms, hidden=16)
+    flow._build(2, n_classes, rng)
+    for tr in flow.transforms_:
+        for p in tr.params:
+            p[...] = rng.normal(0.0, 1.0, size=p.shape)
+    return clf, flow
+
+
+def _tape_objective(clf, flow, delta, x0, targets, cfg, wachter):
+    def f(xt):
+        probs = clf.predict_proba_tensor(xt)
+        dist = distance(Tensor(x0), xt, cfg.distance_kind)
+        onehot = Tensor(np.eye(clf.n_classes_)[targets])
+        ce = -1.0 * ad.log(ad.tsum(probs * onehot, axis=1))
+        if wachter:
+            return ce + Tensor(cfg.c_reg) * dist
+        if cfg.validity_loss == "cross_entropy":
+            lv = ce
+        elif clf.n_classes_ == 2:
+            lv = validity_loss_binary(probs, targets, cfg.epsilon)
+        else:
+            lv = validity_loss_multiclass(probs, targets, cfg.epsilon)
+        lp = plausibility_loss(
+            flow.log_prob_tensor(xt, targets), delta.for_labels(targets)
+        )
+        return dist + Tensor(cfg.lam) * (lv + lp)
+
+    return f
+
+
+def _fused_against_tape(opt, tape_f, x):
+    opt.x[:] = x
+    obj, grad, _ = opt.value_and_grad(np.arange(x.shape[0]))
+    xt = Tensor(x.copy(), requires_grad=True)
+    tape_obj = tape_f(xt)
+    ad.tsum(tape_obj).backward()
+    obj_err = np.abs(obj - tape_obj.data) / np.abs(tape_obj.data)
+    grad_err = np.linalg.norm(grad - xt.grad, axis=1) / np.linalg.norm(
+        xt.grad, axis=1
+    )
+    return max(obj_err.max(), grad_err.max())
+
+
+def _search_batch(clf, flow, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-2.0, 3.0, size=(40, 2))
+    x = x0 + rng.normal(0.0, 0.3, size=x0.shape)
+    targets = rng.integers(0, n_classes, 40)
+    # thresholds at the median density put half the rows on each side
+    logp = flow.score_samples(x, targets)
+    delta = DensityThreshold(np.full(n_classes, np.median(logp)))
+    return x0, x, targets, delta
+
+
+@pytest.mark.parametrize("n_transforms", [1, 2])
+@pytest.mark.parametrize("distance_kind", ["l1", "l2"])
+@pytest.mark.parametrize(
+    "n_classes,validity_loss",
+    [(2, "hinge"), (3, "hinge"), (3, "cross_entropy")],
+)
+@pytest.mark.parametrize("arch", ["lr", "mlp"])
+def test_fused_objective_gradient_matches_tape(
+    arch, n_classes, validity_loss, distance_kind, n_transforms
+):
+    clf, flow = _random_models(arch, n_classes, n_transforms, seed=n_transforms)
+    x0, x, targets, delta = _search_batch(clf, flow, n_classes, seed=1)
+    cfg = CfConfig(distance_kind=distance_kind, validity_loss=validity_loss)
+
+    # the batch must exercise both sides of every kink in the objective
+    ctx = np.eye(n_classes)[targets]
+    tr = flow.transforms_[0]
+    _, log_scale, _ = tr._shift_log_scale_np(x, ctx)
+    assert np.any(np.abs(log_scale) == LOG_SCALE_BOUND)
+    assert np.any(np.abs(log_scale) < LOG_SCALE_BOUND)
+    pre1 = np.concatenate([x, ctx], axis=1) @ (tr.params[0] * tr.masks[0])
+    assert np.any(pre1 + tr.params[1] > 0) and np.any(pre1 + tr.params[1] < 0)
+    opt = _PlausibleOptimizer(x0, targets, clf, flow, delta, cfg)
+    _, _, (_, val, plaus, _) = opt.value_and_grad(np.arange(len(x0)))
+    if validity_loss == "hinge":
+        assert np.any(val > 0) and np.any(val == 0)
+    assert np.any(plaus > 0) and np.any(plaus == 0)
+
+    tape_f = _tape_objective(clf, flow, delta, x0, targets, cfg, wachter=False)
+    assert _fused_against_tape(opt, tape_f, x) <= 1e-10
+
+
+@pytest.mark.parametrize("distance_kind", ["l1", "l2"])
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("arch", ["lr", "mlp"])
+def test_fused_wachter_gradient_matches_tape(arch, n_classes, distance_kind):
+    clf, flow = _random_models(arch, n_classes, 1, seed=0)
+    x0, x, targets, delta = _search_batch(clf, flow, n_classes, seed=2)
+    cfg = CfConfig(distance_kind=distance_kind, c_reg=0.5)
+    opt = _WachterOptimizer(x0, targets, clf, cfg)
+    tape_f = _tape_objective(clf, flow, delta, x0, targets, cfg, wachter=True)
+    assert _fused_against_tape(opt, tape_f, x) <= 1e-10

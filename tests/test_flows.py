@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flowcf.autodiff import Tensor, finite_difference_check
+from flowcf.autodiff import Tensor, finite_difference_check, finite_difference_error
 from flowcf.data import MinMaxScaler, make_moons
 from flowcf.flows import MadeTransform, MaskedAutoregressiveFlow, load_flow
 from flowcf.models import TrainConfig
@@ -68,6 +68,18 @@ def test_log_prob_input_gradient_matches_finite_differences(
         return ad.tsum(trained_flow.log_prob_tensor(xt, y[:10]))
 
     assert finite_difference_check(f, X[:10]) < 1e-4
+
+
+def test_log_prob_and_input_grad_matches_finite_differences(
+    trained_flow, moons_scaled
+):
+    X, y = moons_scaled
+    logp, grad = trained_flow.log_prob_and_input_grad(X[:10], y[:10])
+    assert np.array_equal(logp, trained_flow.score_samples(X[:10], y[:10]))
+    err = finite_difference_error(
+        lambda x: float(trained_flow.score_samples(x, y[:10]).sum()), grad, X[:10]
+    )
+    assert err < 1e-4
 
 
 def test_single_transform_is_triangular():

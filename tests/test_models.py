@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from flowcf import autodiff as ad
-from flowcf.autodiff import DimensionError, Tensor, finite_difference_check
+from flowcf.autodiff import (
+    DimensionError,
+    Tensor,
+    finite_difference_check,
+    finite_difference_error,
+)
 from flowcf.data import MinMaxScaler, make_blobs, make_moons, stratified_kfold
 from flowcf.models import (
     LogisticRegression,
@@ -75,6 +80,25 @@ def test_input_gradient_matches_finite_differences(moons_split, moons_lr):
         return -1.0 * ad.tsum(ad.log(p1))
 
     assert finite_difference_check(loss, Xte[:20]) < 1e-4
+
+
+@pytest.mark.parametrize("cls", [LogisticRegression, MlpClassifier])
+def test_proba_input_vjp_matches_finite_differences(cls):
+    # small random weights and three classes so no softmax output saturates
+    rng = np.random.default_rng(7)
+    clf = cls()
+    clf.n_features_, clf.n_classes_ = 2, 3
+    clf._init_params(2, 3, rng)
+    for p in clf._params:
+        p[...] = rng.normal(0.0, 0.3, size=p.shape)
+    X = rng.uniform(-1.0, 2.0, size=(12, 2))
+    cotangent = rng.normal(size=(12, 3))
+    probs, vjp = clf.proba_and_input_vjp(X)
+    assert np.allclose(probs, clf.predict_proba_tensor(Tensor(X)).data, atol=1e-15)
+    err = finite_difference_error(
+        lambda x: float((cotangent * clf.predict_proba(x)).sum()), vjp(cotangent), X
+    )
+    assert err < 1e-4
 
 
 def test_parameter_gradient_matches_finite_differences():
