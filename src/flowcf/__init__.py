@@ -12,7 +12,6 @@ from .autodiff import (
     DimensionError,
     DomainError,
     Tensor,
-    apply_primitive,
     finite_difference_check,
 )
 from .base import BaseEstimator, check_array, check_X_y
@@ -63,14 +62,14 @@ from .models import (
     TrainConfig,
     load_classifier,
 )
-from .optim import Adam, AdamState, adam_step
+from .optim import AdamState, adam_step
 
 __all__ = [
     "__version__",
-    "Tensor", "DimensionError", "DomainError", "apply_primitive",
+    "Tensor", "DimensionError", "DomainError",
     "finite_difference_check",
     "BaseEstimator", "check_array", "check_X_y",
-    "Adam", "AdamState", "adam_step",
+    "AdamState", "adam_step",
     "TrainConfig", "LogisticRegression", "MlpClassifier", "load_classifier",
     "MadeTransform", "MaskedAutoregressiveFlow", "FlowNumericsError",
     "TrainingError", "load_flow",

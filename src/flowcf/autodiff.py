@@ -16,7 +16,6 @@ __all__ = [
     "Tensor",
     "DimensionError",
     "DomainError",
-    "apply_primitive",
     "finite_difference_check",
     "finite_difference_error",
     "add",
@@ -27,15 +26,12 @@ __all__ = [
     "tmean",
     "exp",
     "log",
-    "sigmoid",
-    "tanh",
     "relu",
     "softmax",
     "log_softmax",
     "tabs",
     "square",
     "sqrt",
-    "maximum_const",
     "clip",
     "row_max",
     "concatenate",
@@ -273,16 +269,6 @@ def log(a: Tensor) -> Tensor:
     return _make(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-    return _make(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),), "sigmoid")
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-    return _make(out_data, (a,), lambda g: (g * (1.0 - out_data**2),), "tanh")
-
-
 def relu(a: Tensor) -> Tensor:
     # Subgradient at 0 is taken as 0, which keeps satisfied hinges inactive.
     mask = a.data > 0.0
@@ -328,11 +314,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(out_data, (a,), lambda g: (g * 0.5 / np.maximum(out_data, 1e-300),), "sqrt")
 
 
-def maximum_const(a: Tensor, c: float) -> Tensor:
-    mask = a.data > c
-    return _make(np.where(mask, a.data, c), (a,), lambda g: (g * mask,), "maximum_const")
-
-
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     mask = (a.data > lo) & (a.data < hi)
     return _make(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,), "clip")
@@ -366,38 +347,6 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         backward,
         "concatenate",
     )
-
-
-_PRIMITIVES: dict[str, Callable] = {
-    "add": add,
-    "subtract": sub,
-    "multiply": mul,
-    "scalar_multiply": lambda a, c: mul(a, _wrap(c)),
-    "matmul": matmul,
-    "sum": tsum,
-    "mean": tmean,
-    "exp": exp,
-    "log": log,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "softmax": softmax,
-    "log_softmax": log_softmax,
-    "absolute": tabs,
-    "square": square,
-    "maximum_const": maximum_const,
-    "row_max": row_max,
-    "concatenate": lambda *ts, axis=-1: concatenate(ts, axis=axis),
-}
-
-
-def apply_primitive(op: str, *inputs, **kwargs) -> Tensor:
-    """Apply a named primitive, recording it on the graph when needed."""
-    try:
-        fn = _PRIMITIVES[op]
-    except KeyError:
-        raise KeyError(f"unknown primitive '{op}'") from None
-    return fn(*inputs, **kwargs)
 
 
 def finite_difference_check(

@@ -7,8 +7,10 @@ once the flow density reaches the per-class training median). Batches are
 optimized jointly but the rows never couple, so batch and single-instance
 runs produce the same counterfactuals.
 
-Each search step evaluates the objective and its input gradient in closed
-form with numpy, from the models' ``proba_and_input_vjp`` and
+One descent loop (``_search``) serves both the plausible objective and the
+Wachter baseline, and steps with ``optim.adam_step`` on the rows still
+active. Each objective is evaluated with its input gradient in closed form
+with numpy, from the models' ``proba_and_input_vjp`` and
 ``log_prob_and_input_grad``; the models are only read. The tape-based loss
 functions below (``validity_loss_binary`` and friends) build the same
 objective on the autodiff graph, which the tests use as the reference.
@@ -26,6 +28,7 @@ from .autodiff import Tensor
 from .base import check_array
 from .flows import MaskedAutoregressiveFlow
 from .models import _one_hot
+from .optim import AdamState, adam_step
 
 __all__ = [
     "CfConfig",
@@ -54,7 +57,6 @@ class CfConfig:
     # reach ~1e6 in far tails, which would poison Adam's second-moment
     # memory and stall progress for thousands of iterations
     max_grad_norm: float = 100.0
-    seed: int = 0
     validity_loss: str = "hinge"  # or "cross_entropy"
     c_reg: float = 1.0  # distance weight of the Wachter-style baseline
     record_trajectory: bool = False
@@ -159,259 +161,198 @@ def _distance_and_grad(x0: np.ndarray, x: np.ndarray, kind: str):
 
 def _validity_and_grad(probs: np.ndarray, targets: np.ndarray, kind: str,
                        epsilon: float):
-    """Per-row validity loss and its gradient with respect to ``probs``.
+    """Per-row validity loss, its gradient with respect to ``probs``, and margin.
 
-    ``kind`` is "cross_entropy" (-log p(target)) or "hinge": the binary
-    hinge for two classes, else the hinge against the best rival class.
+    The margin is <= 0 once the target class wins by ``epsilon``: against
+    0.5 for two classes, else against the best rival class. ``kind`` is
+    "cross_entropy" (-log p(target)) or "hinge" (the margin clipped at 0).
     """
     rows = np.arange(targets.size)
     p_target = probs[rows, targets]
-    grad = np.zeros_like(probs)
-    if kind == "cross_entropy":
-        grad[rows, targets] = -1.0 / p_target
-        return -np.log(p_target), grad
     if probs.shape[1] == 2:
         margin = 0.5 + epsilon - p_target
         rival = None
     else:
-        # ties resolve toward the lower index, as in ad.row_max
-        rival = (probs * (1.0 - _one_hot(targets, probs.shape[1]))).argmax(axis=1)
+        # the target column is masked to -inf, so a rival with probability 0
+        # still beats it; ties resolve toward the lower index, as in ad.row_max
+        rivals = probs.copy()
+        rivals[rows, targets] = -np.inf
+        rival = rivals.argmax(axis=1)
         margin = probs[rows, rival] + epsilon - p_target
+    grad = np.zeros_like(probs)
+    if kind == "cross_entropy":
+        grad[rows, targets] = -1.0 / p_target
+        return -np.log(p_target), grad, margin
     active = (margin > 0.0).astype(np.float64)
     grad[rows, targets] = -active
     if rival is not None:
         grad[rows, rival] += active
     # np.maximum keeps a NaN margin, so the row fails the finiteness check
-    return np.maximum(margin, 0.0), grad
+    return np.maximum(margin, 0.0), grad, margin
 
 
-class _BatchOptimizer:
-    """Shared descent loop; subclasses define the per-row objective pieces."""
-
-    def __init__(self, x0: np.ndarray, targets: np.ndarray, cfg: CfConfig):
-        self.x0 = x0
-        self.targets = targets
-        self.cfg = cfg
-        n, d = x0.shape
-        self.x = x0.copy()
-        self.m = np.zeros((n, d))
-        self.v = np.zeros((n, d))
-        self.active = np.ones(n, dtype=bool)
-        self.covered = np.ones(n, dtype=bool)
-        self.iterations = np.zeros(n, dtype=np.int64)
-        self.stop_time = np.zeros(n)
-        self.prev_obj = np.full(n, np.inf)
-        self.dist_loss = np.zeros(n)
-        self.val_loss = np.zeros(n)
-        self.plaus_loss = np.zeros(n)
-        self.log_density = np.full(n, np.nan)
-        self.trajectories: list[list] | None = None
-        if cfg.record_trajectory:
-            self.trajectories = [[(0, x0[i].copy())] for i in range(n)]
-        # optional fallback iterates for rows that never settle (see
-        # remember_feasible); parallel arrays keyed by row index
-        self.fallback_x = np.full((n, d), np.nan)
-        self.fallback_stats = np.full((n, 4), np.nan)  # dist, val, plaus, logp
-        self.has_fallback = np.zeros(n, dtype=bool)
-
-    # subclass hooks -----------------------------------------------------
-    def value_and_grad(self, idx: np.ndarray):
-        """Objective of rows ``idx`` at ``self.x[idx]`` and its gradient.
-
-        Returns (objective rows, gradient rows, (dist, validity, plaus,
-        logp) rows). A row whose numbers overflow comes back non-finite.
-        """
-        raise NotImplementedError
-
-    def converged(self, idx, val_rows, plaus_rows, obj_change):
-        raise NotImplementedError
-
-    def remember_feasible(self, idx, dist_rows, val_rows, plaus_rows, logp_rows):
-        """Optionally record the current iterate as a usable fallback."""
-
-    # loop ---------------------------------------------------------------
-    def run(self) -> list[CfResult]:
-        cfg = self.cfg
-        start = time.perf_counter()
-        t = 0
-        for it in range(1, cfg.max_iters + 1):
-            if not self.active.any():
-                break
-            idx = np.flatnonzero(self.active)
-            with np.errstate(all="ignore"):
-                obj_data, grad, rows = self.value_and_grad(idx)
-
-            row_finite = np.all(np.isfinite(grad), axis=1) & np.isfinite(obj_data)
-            if not row_finite.all():
-                self._fail(idx[~row_finite], it, start)
-                idx = idx[row_finite]
-                if idx.size == 0:
-                    continue
-                obj_data, grad = obj_data[row_finite], grad[row_finite]
-                rows = tuple(r[row_finite] for r in rows)
-            dist_rows, val_rows, plaus_rows, logp_rows = rows
-
-            self.dist_loss[idx] = dist_rows
-            self.val_loss[idx] = val_rows
-            self.plaus_loss[idx] = plaus_rows
-            self.log_density[idx] = logp_rows
-            self.remember_feasible(idx, dist_rows, val_rows, plaus_rows, logp_rows)
-
-            obj_change = np.abs(self.prev_obj[idx] - obj_data)
-            done = self.converged(idx, val_rows, plaus_rows, obj_change)
-            self.prev_obj[idx] = obj_data
-            if done.any():
-                stopped = idx[done]
-                self.iterations[stopped] = it - 1
-                self.stop_time[stopped] = time.perf_counter() - start
-                self.active[stopped] = False
-                idx = idx[~done]
-                grad = grad[~done]
-                if idx.size == 0:
-                    continue
-
-            # clip per row so one extreme gradient cannot dominate the
-            # second-moment average for thousands of subsequent steps
-            norms = np.sqrt((grad**2).sum(axis=1, keepdims=True))
-            scale = np.minimum(1.0, cfg.max_grad_norm / np.maximum(norms, 1e-300))
-            grad = grad * scale
-
-            # bias-corrected Adam on the still-active rows
-            t = it
-            bc1 = 1.0 - 0.9**t
-            bc2 = 1.0 - 0.999**t
-            self.m[idx] = 0.9 * self.m[idx] + 0.1 * grad
-            self.v[idx] = 0.999 * self.v[idx] + 0.001 * grad**2
-            self.x[idx] -= cfg.learning_rate * (self.m[idx] / bc1) / (
-                np.sqrt(self.v[idx] / bc2) + 1e-8
-            )
-
-            if self.trajectories is not None and it % cfg.snapshot_every == 0:
-                for i in idx:
-                    self.trajectories[i].append((it, self.x[i].copy()))
-
-        # rows that exhausted the budget; fall back to the last feasible
-        # iterate when one was recorded along the way
-        leftover = np.flatnonzero(self.active)
-        self.iterations[leftover] = cfg.max_iters
-        self.stop_time[leftover] = time.perf_counter() - start
-        self.active[leftover] = False
-        for i in leftover[self.has_fallback[leftover]]:
-            self.x[i] = self.fallback_x[i]
-            self.dist_loss[i], self.val_loss[i], self.plaus_loss[i], \
-                self.log_density[i] = self.fallback_stats[i]
-        return self._collect()
-
-    def _fail(self, rows: np.ndarray, it: int, start: float) -> None:
-        self.covered[rows] = False
-        self.active[rows] = False
-        self.iterations[rows] = it
-        self.stop_time[rows] = time.perf_counter() - start
-        self.x[rows] = np.nan
-
-    def _collect(self) -> list[CfResult]:
-        results = []
-        for i in range(self.x0.shape[0]):
-            traj = None
-            if self.trajectories is not None:
-                traj = self.trajectories[i]
-                last_it = self.iterations[i]
-                if traj[-1][0] != last_it or not np.array_equal(traj[-1][1], self.x[i]):
-                    traj.append((int(last_it), self.x[i].copy()))
-            results.append(
-                CfResult(
-                    x_cf=self.x[i].copy(),
-                    target=int(self.targets[i]),
-                    covered=bool(self.covered[i]),
-                    iterations_used=int(self.iterations[i]),
-                    distance_loss=float(self.dist_loss[i]),
-                    validity_loss=float(self.val_loss[i]),
-                    plausibility_loss=float(self.plaus_loss[i]),
-                    log_density_at_cf=float(self.log_density[i]),
-                    wall_time_secs=float(self.stop_time[i]),
-                    trajectory=traj,
-                )
-            )
-        return results
+# the search: two objectives, one descent loop -------------------------------
 
 
-class _PlausibleOptimizer(_BatchOptimizer):
-    def __init__(self, x0, targets, clf, flow, delta, cfg):
-        super().__init__(x0, targets, cfg)
-        self.clf = clf
-        self.flow = flow
-        self.log_delta = delta.for_labels(targets)
+def _plausible_objective(x0, targets, clf, flow, delta, cfg: CfConfig):
+    """distance + lam * (validity + plausibility hinge), from closed-form VJPs."""
+    log_delta = delta.for_labels(targets)
 
-    def value_and_grad(self, idx):
-        cfg = self.cfg
-        x, targets = self.x[idx], self.targets[idx]
-        dist, g_dist = _distance_and_grad(self.x0[idx], x, cfg.distance_kind)
-        probs, clf_vjp = self.clf.proba_and_input_vjp(x)
-        val, g_probs = _validity_and_grad(
-            probs, targets, cfg.validity_loss, cfg.epsilon
+    def objective(idx: np.ndarray, x: np.ndarray):
+        t = targets[idx]
+        dist, g_dist = _distance_and_grad(x0[idx], x, cfg.distance_kind)
+        probs, clf_vjp = clf.proba_and_input_vjp(x)
+        val, g_probs, margin = _validity_and_grad(
+            probs, t, cfg.validity_loss, cfg.epsilon
         )
-        logp, g_logp = self.flow.log_prob_and_input_grad(x, targets)
-        gap = self.log_delta[idx] - logp
+        logp, g_logp = flow.log_prob_and_input_grad(x, t)
+        gap = log_delta[idx] - logp
         plaus = np.maximum(gap, 0.0)
         obj = dist + cfg.lam * (val + plaus)
         grad = g_dist + cfg.lam * (clf_vjp(g_probs) - (gap > 0.0)[:, None] * g_logp)
-        return obj, grad, (dist, val, plaus, logp)
+        # cross-entropy never reaches zero, so feasibility reads the margin
+        feasible = (margin <= 0.0) & (plaus <= 0.0)
+        return obj, grad, np.array([dist, val, plaus, logp]).T, feasible
 
-    def converged(self, idx, val_rows, plaus_rows, obj_change):
-        if self.cfg.validity_loss == "cross_entropy":
-            # CE never reaches zero; fall back to the satisfied-constraint check
-            margin_ok = self._margin_satisfied(idx)
-        else:
-            margin_ok = val_rows <= 0.0
-        return margin_ok & (plaus_rows <= 0.0) & (obj_change < self.cfg.convergence_tol)
-
-    def remember_feasible(self, idx, dist_rows, val_rows, plaus_rows, logp_rows):
-        # Rows that never settle oscillate across the constraint boundary,
-        # so the final iterate can sit a hair outside it; keep the newest
-        # iterate that meets both constraints as the answer of record.
-        # (Distance only shrinks once feasible, so newest is also closest.)
-        if self.cfg.validity_loss == "cross_entropy":
-            ok = self._margin_satisfied(idx) & (plaus_rows <= 0.0)
-        else:
-            ok = (val_rows <= 0.0) & (plaus_rows <= 0.0)
-        rows = idx[ok]
-        self.fallback_x[rows] = self.x[rows]
-        self.fallback_stats[rows] = np.column_stack(
-            [dist_rows[ok], val_rows[ok], plaus_rows[ok], logp_rows[ok]]
-        )
-        self.has_fallback[rows] = True
-
-    def _margin_satisfied(self, idx):
-        probs = self.clf.predict_proba(self.x[idx])
-        targets = self.targets[idx]
-        p_t = probs[np.arange(idx.size), targets]
-        if self.clf.n_classes_ == 2:
-            return p_t >= 0.5 + self.cfg.epsilon
-        rival = np.where(
-            _one_hot(targets, self.clf.n_classes_) > 0, -np.inf, probs
-        ).max(axis=1)
-        return p_t >= rival + self.cfg.epsilon
+    return objective
 
 
-class _WachterOptimizer(_BatchOptimizer):
-    def __init__(self, x0, targets, clf, cfg):
-        super().__init__(x0, targets, cfg)
-        self.clf = clf
+def _wachter_objective(x0, targets, clf, cfg: CfConfig):
+    """Cross-entropy to the target plus c_reg-weighted distance; no constraints."""
 
-    def value_and_grad(self, idx):
-        cfg = self.cfg
-        x = self.x[idx]
-        dist, g_dist = _distance_and_grad(self.x0[idx], x, cfg.distance_kind)
-        probs, clf_vjp = self.clf.proba_and_input_vjp(x)
-        ce, g_probs = _validity_and_grad(
-            probs, self.targets[idx], "cross_entropy", cfg.epsilon
+    def objective(idx: np.ndarray, x: np.ndarray):
+        dist, g_dist = _distance_and_grad(x0[idx], x, cfg.distance_kind)
+        probs, clf_vjp = clf.proba_and_input_vjp(x)
+        ce, g_probs, _ = _validity_and_grad(
+            probs, targets[idx], "cross_entropy", cfg.epsilon
         )
         obj = ce + cfg.c_reg * dist
         grad = clf_vjp(g_probs) + cfg.c_reg * g_dist
-        return obj, grad, (dist, ce, np.zeros(idx.size), np.full(idx.size, np.nan))
+        no_density = np.full(idx.size, np.nan)
+        stats = np.array([dist, ce, np.zeros(idx.size), no_density]).T
+        return obj, grad, stats, None
 
-    def converged(self, idx, val_rows, plaus_rows, obj_change):
-        return obj_change < self.cfg.convergence_tol
+    return objective
+
+
+def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
+    """Batched Adam descent on ``objective``; rows never couple.
+
+    ``objective(idx, x)`` takes row indices and the current points of those
+    rows. It returns the per-row objective, its gradient with respect to x,
+    the (distance, validity, plausibility, log-density) stats, and a mask of
+    the rows that meet every constraint, or None if it has no constraints.
+
+    A row stops once it is feasible (when the objective has constraints) and
+    its objective moved by less than ``convergence_tol``. A row whose numbers
+    stop being finite fails alone. A row that exhausts ``max_iters`` falls
+    back to its newest feasible iterate, if it had one.
+    """
+    n, d = x0.shape
+    x = x0.copy()
+    adam = AdamState([(n, d)])
+    active = np.ones(n, dtype=bool)
+    covered = np.ones(n, dtype=bool)
+    iterations = np.zeros(n, dtype=np.int64)
+    stop_time = np.zeros(n)
+    prev_obj = np.full(n, np.inf)
+    stats = np.zeros((n, 4))  # distance, validity, plausibility, log-density
+    stats[:, 3] = np.nan
+    # Rows that never settle oscillate across the constraint boundary, so
+    # the final iterate can sit a hair outside it; the newest iterate that
+    # met every constraint is kept as the answer of record. It is not the
+    # closest feasible iterate seen: distance can grow after feasibility.
+    feasible_x = np.full((n, d), np.nan)
+    feasible_stats = np.full((n, 4), np.nan)
+    has_feasible = np.zeros(n, dtype=bool)
+    trajectories = None
+    if cfg.record_trajectory:
+        trajectories = [[(0, x0[i].copy())] for i in range(n)]
+
+    start = time.perf_counter()
+
+    def stop(rows: np.ndarray, iterations_used) -> None:
+        active[rows] = False
+        iterations[rows] = iterations_used
+        stop_time[rows] = time.perf_counter() - start
+
+    for it in range(1, cfg.max_iters + 1):
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        with np.errstate(all="ignore"):
+            obj, grad, row_stats, feasible = objective(idx, x[idx])
+
+        finite = np.all(np.isfinite(grad), axis=1) & np.isfinite(obj)
+        if not finite.all():
+            failed = idx[~finite]
+            stop(failed, it)
+            covered[failed] = False
+            x[failed] = np.nan
+            idx, obj, grad, row_stats = (
+                idx[finite], obj[finite], grad[finite], row_stats[finite]
+            )
+            if feasible is not None:
+                feasible = feasible[finite]
+            if idx.size == 0:
+                continue
+
+        stats[idx] = row_stats
+        done = np.abs(prev_obj[idx] - obj) < cfg.convergence_tol
+        if feasible is not None:
+            ok = idx[feasible]
+            feasible_x[ok] = x[ok]
+            feasible_stats[ok] = row_stats[feasible]
+            has_feasible[ok] = True
+            done &= feasible
+        prev_obj[idx] = obj
+        if done.any():
+            stop(idx[done], it - 1)
+            idx, grad = idx[~done], grad[~done]
+            if idx.size == 0:
+                continue
+
+        # clip per row so one extreme gradient cannot dominate the
+        # second-moment average for thousands of subsequent steps
+        norms = np.sqrt((grad**2).sum(axis=1, keepdims=True))
+        grad = grad * np.minimum(1.0, cfg.max_grad_norm / np.maximum(norms, 1e-300))
+
+        # every active row has taken it - 1 steps, so one counter serves all
+        adam_step([x], [grad], adam, cfg.learning_rate, rows=idx)
+
+        if trajectories is not None and it % cfg.snapshot_every == 0:
+            for i in idx:
+                trajectories[i].append((it, x[i].copy()))
+
+    leftover = np.flatnonzero(active)
+    stop(leftover, cfg.max_iters)
+    fallback = leftover[has_feasible[leftover]]
+    x[fallback] = feasible_x[fallback]
+    stats[fallback] = feasible_stats[fallback]
+
+    results = []
+    for i in range(n):
+        traj = None
+        if trajectories is not None:
+            traj = trajectories[i]
+            if traj[-1][0] != iterations[i] or not np.array_equal(traj[-1][1], x[i]):
+                traj.append((int(iterations[i]), x[i].copy()))
+        dist, val, plaus, logp = stats[i]
+        results.append(
+            CfResult(
+                x_cf=x[i].copy(),
+                target=int(targets[i]),
+                covered=bool(covered[i]),
+                iterations_used=int(iterations[i]),
+                distance_loss=float(dist),
+                validity_loss=float(val),
+                plausibility_loss=float(plaus),
+                log_density_at_cf=float(logp),
+                wall_time_secs=float(stop_time[i]),
+                trajectory=traj,
+            )
+        )
+    return results
 
 
 def _check_targets(targets, n_rows: int, n_classes: int) -> np.ndarray:
@@ -433,11 +374,13 @@ def generate(x0_batch, targets, clf, flow, delta, cfg: CfConfig) -> list[CfResul
     """Counterfactuals under the distance + lambda * (validity + plausibility) objective."""
     x0 = check_array(x0_batch)
     targets = _check_targets(targets, x0.shape[0], clf.n_classes_)
-    return _PlausibleOptimizer(x0, targets, clf, flow, delta, cfg).run()
+    return _search(
+        x0, targets, _plausible_objective(x0, targets, clf, flow, delta, cfg), cfg
+    )
 
 
 def wachter_generate(x0_batch, targets, clf, cfg: CfConfig) -> list[CfResult]:
     """Baseline: cross-entropy to the target plus c_reg-weighted distance."""
     x0 = check_array(x0_batch)
     targets = _check_targets(targets, x0.shape[0], clf.n_classes_)
-    return _WachterOptimizer(x0, targets, clf, cfg).run()
+    return _search(x0, targets, _wachter_objective(x0, targets, clf, cfg), cfg)

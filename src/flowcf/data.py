@@ -58,7 +58,6 @@ class Dataset:
 @dataclass
 class SplitPlan:
     folds: list[np.ndarray]
-    seed: int
 
     def train_test(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
         test = self.folds[fold]
@@ -241,4 +240,4 @@ def stratified_kfold(data: Dataset, k: int = 5, seed: int = 0) -> SplitPlan:
         for i, chunk in enumerate(np.array_split(members, k)):
             folds[(i + c) % k].extend(chunk.tolist())
     fold_arrays = [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
-    return SplitPlan(folds=fold_arrays, seed=seed)
+    return SplitPlan(folds=fold_arrays)

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .base import BaseEstimator, check_X_y, check_array
 from .models import TrainConfig, _one_hot, _val_split
-from .optim import Adam
+from .optim import AdamState, adam_step
 
 __all__ = ["MadeTransform", "MaskedAutoregressiveFlow", "FlowNumericsError",
            "TrainingError", "load_flow"]
@@ -290,7 +290,7 @@ class MaskedAutoregressiveFlow(BaseEstimator):
 
         params = [p for tr in self.transforms_ for p in tr.params]
         tensors = [t for tr in self.transforms_ for t in tr.param_tensors]
-        opt = Adam(params, lr=cfg.learning_rate)
+        adam = AdamState([p.shape for p in params])
         best_loss = np.inf
         best_params = [p.copy() for p in params]
         stale = 0
@@ -307,7 +307,7 @@ class MaskedAutoregressiveFlow(BaseEstimator):
                         f"non-finite loss at epoch {epoch}, batch {batch_no}"
                     ) from err
                 loss.backward()
-                opt.step([t.grad for t in tensors])
+                adam_step(params, [t.grad for t in tensors], adam, cfg.learning_rate)
                 for t in tensors:
                     t.zero_grad()
             if ctx_val is not None:

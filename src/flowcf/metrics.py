@@ -2,7 +2,8 @@
 
 LOF and Isolation Forest are fitted on the training split (all classes) and
 score counterfactuals in novelty mode, so the numbers measure realism with
-respect to the data rather than the target class alone.
+respect to the data rather than the target class alone. L1/L2 costs use the
+same numpy distance helper as the counterfactual search.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .base import BaseEstimator, check_array
-from .counterfactual import CfResult, DensityThreshold, distance
-from .autodiff import Tensor
+from .counterfactual import CfResult, DensityThreshold, _distance_and_grad
 
 __all__ = [
     "EvaluationReport",
@@ -276,8 +276,8 @@ def evaluate(
         r.log_density_at_cf = float(ld)
 
     x0 = x0_batch[covered_idx]
-    l1 = distance(Tensor(x0), Tensor(X_cf), "l1").data
-    l2 = distance(Tensor(x0), Tensor(X_cf), "l2").data
+    l1, _ = _distance_and_grad(x0, X_cf, "l1")
+    l2, _ = _distance_and_grad(x0, X_cf, "l2")
 
     if lof_model is None:
         lof_model = LocalOutlierFactor().fit(reference_train)

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .base import BaseEstimator, check_array, check_X_y
-from .optim import Adam
+from .optim import AdamState, adam_step
 
 __all__ = ["TrainConfig", "LogisticRegression", "MlpClassifier", "load_classifier"]
 
@@ -96,7 +96,7 @@ class _GradientClassifier(BaseEstimator):
         Xtr, ytr = X[train_idx], y[train_idx]
         Xval, yval = X[val_idx], y[val_idx]
 
-        opt = Adam(self._params, lr=cfg.learning_rate)
+        adam = AdamState([p.shape for p in self._params])
         best_loss = np.inf
         best_params = [p.copy() for p in self._params]
         stale = 0
@@ -106,7 +106,8 @@ class _GradientClassifier(BaseEstimator):
                 batch = order[start : start + cfg.batch_size]
                 loss = self._loss(Xtr[batch], ytr[batch], cfg.weight_decay)
                 loss.backward()
-                opt.step([t.grad for t in self._param_tensors])
+                grads = [t.grad for t in self._param_tensors]
+                adam_step(self._params, grads, adam, cfg.learning_rate)
                 for t in self._param_tensors:
                     t.zero_grad()
             val_loss = (
@@ -194,6 +195,9 @@ class _GradientClassifier(BaseEstimator):
     @classmethod
     def from_dict(cls, payload: dict):
         model = cls(train_config=TrainConfig(**payload["train_config"]))
+        if "hidden" in model.get_params():
+            # the first layer's output width is the hidden width
+            model.set_params(hidden=payload["layer_shapes"][0][1])
         model.n_features_ = payload["n_features"]
         model.n_classes_ = payload["n_classes"]
         model._init_params(
@@ -269,19 +273,6 @@ class MlpClassifier(_GradientClassifier):
             return ((g @ w2.T) * relu1) @ w1.T
 
         return np.maximum(pre, 0.0) @ w3 + b3, vjp
-
-    @classmethod
-    def from_dict(cls, payload: dict):
-        model = cls(
-            hidden=payload["layer_shapes"][0][1],
-            train_config=TrainConfig(**payload["train_config"]),
-        )
-        model.n_features_ = payload["n_features"]
-        model.n_classes_ = payload["n_classes"]
-        model._init_params(model.n_features_, model.n_classes_, np.random.default_rng(0))
-        for p, stored in zip(model._params, payload["params"]):
-            p[...] = np.asarray(stored, dtype=np.float64)
-        return model
 
 
 _ARCHS = {"lr": LogisticRegression, "mlp": MlpClassifier}

@@ -6,21 +6,19 @@ import csv
 import hashlib
 import json
 import time
+import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .autodiff import Tensor
 from .counterfactual import (
     CfConfig,
     DensityThreshold,
+    _validity_and_grad,
     compute_delta,
     generate,
-    validity_loss_binary,
-    validity_loss_multiclass,
-    plausibility_loss,
     wachter_generate,
 )
 from .data import (
@@ -107,7 +105,7 @@ def build_dataset(spec: dict, seed: int) -> Dataset:
     if name == "csv" or "path" in spec:
         data, rejected = load_csv(spec["path"], spec["label_column"])
         if rejected:
-            print(f"rejected rows: {rejected}")
+            warnings.warn(f"{spec['path']}: rejected rows {rejected}", stacklevel=2)
         return data
     raise ValueError(f"unknown dataset spec: {spec}")
 
@@ -181,7 +179,7 @@ def run_fold(
     delta = compute_delta(flow, X_train, y_train)
 
     targets = select_targets(clf, X_test)
-    cf_cfg = CfConfig(seed=fold_seed, **config.cf)
+    cf_cfg = CfConfig(**config.cf)
 
     start = time.perf_counter()
     if config.method == "wachter":
@@ -226,24 +224,27 @@ def _aggregate(reports: list[EvaluationReport]) -> dict:
     return agg
 
 
-def run_experiment(config: RunConfig) -> ExperimentRecord:
-    """Full stratified-CV experiment; failed folds are recorded, not fatal."""
+def _splits(config: RunConfig) -> tuple[Dataset, list]:
+    """The class-balanced dataset and its (train, test) index pairs.
+
+    ``k_folds == 1`` is fold 0 of a 5-fold plan, so a single split still
+    holds out a fifth of the data.
+    """
     data = downsample_majority(build_dataset(config.dataset, config.seed),
                                seed=config.seed)
+    k = config.k_folds if config.k_folds > 1 else 5
+    plan = stratified_kfold(data, k=k, seed=config.seed)
+    return data, [plan.train_test(i) for i in range(config.k_folds)]
+
+
+def run_experiment(config: RunConfig) -> ExperimentRecord:
+    """Full stratified-CV experiment; failed folds are recorded, not fatal."""
+    data, splits = _splits(config)
     out_root = Path(config.out) if config.out else None
     if out_root is not None:
         out_root.mkdir(parents=True, exist_ok=True)
         with open(out_root / "config.json", "w", encoding="utf-8") as fh:
             json.dump(config.to_dict(), fh, indent=2)
-
-    if config.k_folds == 1:
-        plan = stratified_kfold(data, k=5, seed=config.seed)
-        test = plan.folds[0]
-        train = np.setdiff1d(np.arange(data.n_samples), test)
-        splits = [(train, test)]
-    else:
-        plan = stratified_kfold(data, k=config.k_folds, seed=config.seed)
-        splits = [plan.train_test(i) for i in range(config.k_folds)]
 
     reports: list[EvaluationReport] = []
     fold_dicts: list[dict] = []
@@ -319,13 +320,9 @@ def _write_sweep_csv(path, key_name, rows):
 
 def compare_density(config: RunConfig) -> dict:
     """Mean test log-density per estimator (flow, KDE, max-component GMM)."""
-    data = downsample_majority(build_dataset(config.dataset, config.seed),
-                               seed=config.seed)
-    k = max(config.k_folds, 2)
-    plan = stratified_kfold(data, k=k, seed=config.seed)
+    data, splits = _splits(config)
     per_estimator: dict[str, list[float]] = {"maf": [], "kde": [], "gmm": []}
-    for fold in range(config.k_folds if config.k_folds > 1 else 1):
-        train_idx, test_idx = plan.train_test(fold)
+    for fold, (train_idx, test_idx) in enumerate(splits):
         scaler = MinMaxScaler().fit(data.features[train_idx])
         X_train = scaler.transform(data.features[train_idx])
         y_train = data.labels[train_idx]
@@ -391,7 +388,7 @@ def export_trajectory(run_dir, instance_index: int, fold: int = 0,
     x0 = np.array([float(row[k]) for k in row if k.startswith("x0_")])
     target = int(row["target"])
 
-    cf_cfg = CfConfig(seed=config.seed + fold, record_trajectory=True, **config.cf)
+    cf_cfg = CfConfig(record_trajectory=True, **config.cf)
     result = generate(x0[None, :], [target], clf, flow, delta, cf_cfg)[0]
 
     traj_path = fold_dir / f"trajectory_{instance_index}.csv"
@@ -402,17 +399,13 @@ def export_trajectory(run_dir, instance_index: int, fold: int = 0,
             + ["log_density", "validity_hinge", "plausibility_hinge"]
         )
         for it, x in result.trajectory:
-            xt = Tensor(x[None, :])
-            probs = clf.predict_proba_tensor(xt)
-            if clf.n_classes_ == 2:
-                vh = validity_loss_binary(probs, [target], cf_cfg.epsilon)
-            else:
-                vh = validity_loss_multiclass(probs, [target], cf_cfg.epsilon)
+            vh, _, _ = _validity_and_grad(
+                clf.predict_proba(x[None, :]), np.array([target]), "hinge",
+                cf_cfg.epsilon,
+            )
             logp = flow.score_samples(x[None, :], [target])[0]
             ph = max(delta.log_delta[target] - logp, 0.0)
-            writer.writerow(
-                [it] + list(x) + [logp, float(vh.data[0]), ph]
-            )
+            writer.writerow([it] + list(x) + [logp, float(vh[0]), ph])
 
     paths = {"trajectory": str(traj_path)}
     if d == 2:

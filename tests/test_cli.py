@@ -189,13 +189,14 @@ def test_ablate_lambda_writes_sweep(tmp_path, capsys):
     assert (out / "lambda_100" / "experiment.json").exists()
 
 
-def test_csv_dataset_end_to_end(tmp_path):
+def test_csv_dataset_end_to_end(tmp_path, capsys):
     rng = np.random.default_rng(0)
     rows = ["f1,f2,label"]
     for c, center in enumerate([(-2.0, -2.0), (2.0, 2.0)]):
         for _ in range(60):
             x = rng.normal(center, 0.4)
             rows.append(f"{x[0]},{x[1]},c{c}")
+    rows.insert(5, "oops,1.0,c0")  # a rejected row is reported on stderr
     data_path = tmp_path / "data.csv"
     data_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     out = tmp_path / "out"
@@ -203,6 +204,9 @@ def test_csv_dataset_end_to_end(tmp_path):
     cfg["dataset"] = {
         "name": "csv", "path": str(data_path), "label_column": "label",
     }
-    assert main(["run", "--config", _write_config(tmp_path, cfg)]) == 0
+    with pytest.warns(UserWarning, match=r"rejected rows \[6\]"):
+        assert main(["run", "--config", _write_config(tmp_path, cfg)]) == 0
+    printed = json.loads(capsys.readouterr().out)  # stdout holds only JSON
     record = json.loads((out / "experiment.json").read_text())
+    assert printed == record["aggregate"]
     assert record["aggregate"]["validity"]["mean"] == 1.0

@@ -11,8 +11,9 @@ from flowcf.autodiff import DimensionError, Tensor
 from flowcf.counterfactual import (
     CfConfig,
     DensityThreshold,
-    _PlausibleOptimizer,
-    _WachterOptimizer,
+    _plausible_objective,
+    _validity_and_grad,
+    _wachter_objective,
     compute_delta,
     distance,
     generate,
@@ -21,9 +22,10 @@ from flowcf.counterfactual import (
     validity_loss_multiclass,
     wachter_generate,
 )
-from flowcf.data import MinMaxScaler, make_moons
+from flowcf.data import MinMaxScaler, make_blobs, make_moons, stratified_kfold
 from flowcf.flows import LOG_SCALE_BOUND, MaskedAutoregressiveFlow
 from flowcf.models import LogisticRegression, MlpClassifier, TrainConfig
+from flowcf.pipeline import select_targets
 
 
 # fixtures -----------------------------------------------------------------
@@ -70,6 +72,42 @@ def test_binary_and_multiclass_hinges_share_zero_set(p1, eps):
     binary = validity_loss_binary(probs, np.array([1]), epsilon=eps / 2).data[0]
     assert (multi == 0.0) == (binary == 0.0)
     assert np.isclose(multi, 2.0 * binary, atol=1e-12)
+
+
+def test_fused_hinge_rival_is_never_the_target():
+    # every rival probability underflowed to 0: the rival is 0, not p(target)
+    probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    targets = np.array([0, 2, 0])
+    fused, _, _ = _validity_and_grad(probs, targets, "hinge", 0.05)
+    tape = validity_loss_multiclass(Tensor(probs), targets, epsilon=0.05).data
+    assert np.array_equal(fused, tape)
+    assert np.array_equal(fused, [0.0, 0.0, 1.05])
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 5])
+def test_margin_mask_matches_direct_comparison(n_classes):
+    # the search's feasibility mask is margin <= 0; it must agree exactly with
+    # comparing p(target) against the threshold, including ties, zero
+    # probabilities and rows that sit exactly on the boundary
+    rng = np.random.default_rng(n_classes)
+    eps = 1e-3
+    logits = rng.normal(0.0, 3.0, size=(4000, n_classes))
+    logits[:500] = np.round(logits[:500])  # ties between classes
+    logits[500:800, 1:] = -800.0  # rival probabilities underflow to 0
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    targets = rng.integers(0, n_classes, len(probs))
+    rows = np.arange(len(probs))
+    if n_classes == 2:
+        threshold = np.full(len(probs), 0.5 + eps)
+    else:
+        others = np.where(np.eye(n_classes)[targets] > 0, -np.inf, probs)
+        threshold = others.max(axis=1) + eps
+    on_edge = rows[800:1200]
+    probs[on_edge, targets[on_edge]] = threshold[on_edge]
+    _, _, margin = _validity_and_grad(probs, targets, "hinge", eps)
+    assert np.array_equal(margin <= 0.0, probs[rows, targets] >= threshold)
+    assert np.all(margin[on_edge] <= 0.0)
 
 
 def test_plausibility_hinge():
@@ -177,7 +215,7 @@ def test_already_feasible_point_is_a_fixed_point(setup):
     X, y, clf, flow, delta = setup
     x0, targets = _feasible_starts(setup)
     assert len(x0) > 0
-    res = generate(x0, targets, clf, flow, delta, CfConfig(seed=0, epsilon=1e-3))
+    res = generate(x0, targets, clf, flow, delta, CfConfig(epsilon=1e-3))
     for r, orig in zip(res, x0):
         assert r.covered
         assert np.allclose(r.x_cf, orig, atol=1e-9)
@@ -188,7 +226,7 @@ def test_generated_counterfactuals_flip_class_and_stay_dense(setup):
     X, y, clf, flow, delta = setup
     x0 = X[:16]
     targets = 1 - y[:16]
-    cfg = CfConfig(seed=0, max_iters=2000)
+    cfg = CfConfig(max_iters=2000)
     res = generate(x0, targets, clf, flow, delta, cfg)
     xcf = np.array([r.x_cf for r in res])
     assert all(r.covered for r in res)
@@ -201,7 +239,7 @@ def test_batch_matches_sequential(setup):
     X, y, clf, flow, delta = setup
     x0 = X[:8]
     targets = 1 - y[:8]
-    cfg = CfConfig(seed=0, max_iters=400)
+    cfg = CfConfig(max_iters=400)
     batch = generate(x0, targets, clf, flow, delta, cfg)
     for i in range(8):
         single = generate(x0[i : i + 1], targets[i : i + 1], clf, flow, delta, cfg)
@@ -212,7 +250,7 @@ def test_frozen_models_give_bit_identical_repeats(setup):
     X, y, clf, flow, delta = setup
     x0 = X[:5]
     targets = 1 - y[:5]
-    cfg = CfConfig(seed=0, max_iters=300)
+    cfg = CfConfig(max_iters=300)
     a = generate(x0, targets, clf, flow, delta, cfg)
     b = generate(x0, targets, clf, flow, delta, cfg)
     for ra, rb in zip(a, b):
@@ -224,7 +262,7 @@ def test_trajectory_endpoints(setup):
     X, y, clf, flow, delta = setup
     x0 = X[:2]
     targets = 1 - y[:2]
-    cfg = CfConfig(seed=0, max_iters=600, record_trajectory=True, snapshot_every=50)
+    cfg = CfConfig(max_iters=600, record_trajectory=True, snapshot_every=50)
     res = generate(x0, targets, clf, flow, delta, cfg)
     for r, orig in zip(res, x0):
         steps, points = zip(*r.trajectory)
@@ -237,10 +275,38 @@ def test_cross_entropy_variant_reaches_validity(setup):
     X, y, clf, flow, delta = setup
     x0 = X[:8]
     targets = 1 - y[:8]
-    cfg = CfConfig(seed=0, max_iters=2000, validity_loss="cross_entropy")
+    cfg = CfConfig(max_iters=2000, validity_loss="cross_entropy")
     res = generate(x0, targets, clf, flow, delta, cfg)
     xcf = np.array([r.x_cf for r in res])
     assert np.array_equal(clf.predict(xcf), targets)
+
+
+def test_cross_entropy_rows_stop_only_once_the_margin_holds():
+    # a loose tolerance lets the objective settle early, so only the
+    # feasibility mask keeps a row going until its margin holds
+    data = make_blobs(n=300, seed=0)
+    train_idx, test_idx = stratified_kfold(data, k=5, seed=0).train_test(0)
+    sc = MinMaxScaler().fit(data.features[train_idx])
+    X, y = sc.transform(data.features[train_idx]), data.labels[train_idx]
+    x0 = sc.transform(data.features[test_idx])
+    clf = LogisticRegression(train_config=TrainConfig(seed=0, epochs=60)).fit(X, y)
+    flow = MaskedAutoregressiveFlow(
+        n_transforms=1, hidden=16, train_config=TrainConfig(seed=0, epochs=30)
+    ).fit(X, y)
+    delta = compute_delta(flow, X, y)
+    targets = select_targets(clf, x0)  # the runner-up: no row starts feasible
+    cfg = CfConfig(
+        validity_loss="cross_entropy", convergence_tol=1e-3, max_iters=2000
+    )
+    res = generate(x0, targets, clf, flow, delta, cfg)
+    stopped = np.array([r.iterations_used < cfg.max_iters for r in res])
+    assert stopped.sum() >= len(res) // 2
+    xcf = np.array([r.x_cf for r in res])[stopped]
+    t = targets[stopped]
+    probs = clf.predict_proba(xcf)
+    rows = np.arange(len(t))
+    rival = np.where(np.eye(3)[t] > 0, -np.inf, probs).max(axis=1)
+    assert np.all(probs[rows, t] >= rival + cfg.epsilon)
 
 
 def test_wachter_flips_class_without_density_term(setup):
@@ -250,7 +316,7 @@ def test_wachter_flips_class_without_density_term(setup):
     # a small distance weight lets the cross-entropy term pull every row
     # across the decision boundary before the plateau check fires
     res = wachter_generate(
-        x0, targets, clf, CfConfig(seed=0, max_iters=3000, c_reg=0.1)
+        x0, targets, clf, CfConfig(max_iters=3000, c_reg=0.1)
     )
     xcf = np.array([r.x_cf for r in res])
     assert np.array_equal(clf.predict(xcf), targets)
@@ -370,9 +436,8 @@ def _tape_objective(clf, flow, delta, x0, targets, cfg, wachter):
     return f
 
 
-def _fused_against_tape(opt, tape_f, x):
-    opt.x[:] = x
-    obj, grad, _ = opt.value_and_grad(np.arange(x.shape[0]))
+def _fused_against_tape(objective, tape_f, x):
+    obj, grad, _, _ = objective(np.arange(x.shape[0]), x)
     xt = Tensor(x.copy(), requires_grad=True)
     tape_obj = tape_f(xt)
     ad.tsum(tape_obj).backward()
@@ -416,14 +481,15 @@ def test_fused_objective_gradient_matches_tape(
     assert np.any(np.abs(log_scale) < LOG_SCALE_BOUND)
     pre1 = np.concatenate([x, ctx], axis=1) @ (tr.params[0] * tr.masks[0])
     assert np.any(pre1 + tr.params[1] > 0) and np.any(pre1 + tr.params[1] < 0)
-    opt = _PlausibleOptimizer(x0, targets, clf, flow, delta, cfg)
-    _, _, (_, val, plaus, _) = opt.value_and_grad(np.arange(len(x0)))
+    objective = _plausible_objective(x0, targets, clf, flow, delta, cfg)
+    _, _, stats, _ = objective(np.arange(len(x0)), x0)
+    val, plaus = stats[:, 1], stats[:, 2]
     if validity_loss == "hinge":
         assert np.any(val > 0) and np.any(val == 0)
     assert np.any(plaus > 0) and np.any(plaus == 0)
 
     tape_f = _tape_objective(clf, flow, delta, x0, targets, cfg, wachter=False)
-    assert _fused_against_tape(opt, tape_f, x) <= 1e-10
+    assert _fused_against_tape(objective, tape_f, x) <= 1e-10
 
 
 @pytest.mark.parametrize("distance_kind", ["l1", "l2"])
@@ -433,6 +499,6 @@ def test_fused_wachter_gradient_matches_tape(arch, n_classes, distance_kind):
     clf, flow = _random_models(arch, n_classes, 1, seed=0)
     x0, x, targets, delta = _search_batch(clf, flow, n_classes, seed=2)
     cfg = CfConfig(distance_kind=distance_kind, c_reg=0.5)
-    opt = _WachterOptimizer(x0, targets, clf, cfg)
+    objective = _wachter_objective(x0, targets, clf, cfg)
     tape_f = _tape_objective(clf, flow, delta, x0, targets, cfg, wachter=True)
-    assert _fused_against_tape(opt, tape_f, x) <= 1e-10
+    assert _fused_against_tape(objective, tape_f, x) <= 1e-10

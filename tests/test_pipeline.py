@@ -12,6 +12,7 @@ from flowcf.pipeline import (
     build_classifier,
     build_dataset,
     build_flow,
+    compare_density,
     run_experiment,
     select_targets,
 )
@@ -116,3 +117,30 @@ def test_failed_fold_is_recorded_not_fatal(tmp_path, monkeypatch):
     assert len(record.failed_folds) == 1
     assert "synthetic fold failure" in record.failed_folds[0]["error"]
     assert len(record.fold_reports) == 1
+
+
+def test_single_fold_means_one_split_everywhere(monkeypatch):
+    # run_experiment and compare_density must hold out the same rows
+    import flowcf.pipeline as pipeline
+
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    class RecordingScaler(pipeline.MinMaxScaler):
+        def transform(self, X):
+            seen.append(np.array(X))
+            if len(seen) % 2 == 0:  # train, then test: stop after the test
+                raise Stop
+            return super().transform(X)
+
+    monkeypatch.setattr(pipeline, "MinMaxScaler", RecordingScaler)
+    config = RunConfig(dataset={"name": "moons", "n": 120}, k_folds=1, seed=3)
+    with pytest.raises(RuntimeError, match="all folds failed"):
+        run_experiment(config)
+    with pytest.raises(Stop):
+        compare_density(config)
+    train_a, test_a, train_b, test_b = seen
+    assert np.array_equal(train_a, train_b) and np.array_equal(test_a, test_b)
+    assert len(test_a) == 120 // 5
