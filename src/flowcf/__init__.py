@@ -43,7 +43,6 @@ from .flows import (
     FlowNumericsError,
     MadeTransform,
     MaskedAutoregressiveFlow,
-    TrainingError,
     load_flow,
 )
 from .metrics import (
@@ -52,7 +51,6 @@ from .metrics import (
     LocalOutlierFactor,
     coverage,
     evaluate,
-    log_density_mean,
     prob_plausibility,
     validity,
 )
@@ -60,6 +58,7 @@ from .models import (
     LogisticRegression,
     MlpClassifier,
     TrainConfig,
+    TrainingError,
     load_classifier,
 )
 from .optim import AdamState, adam_step
@@ -78,7 +77,7 @@ __all__ = [
     "generate", "wachter_generate", "plausibility_loss",
     "validity_loss_binary", "validity_loss_multiclass",
     "EvaluationReport", "LocalOutlierFactor", "IsolationForest",
-    "coverage", "validity", "prob_plausibility", "log_density_mean", "evaluate",
+    "coverage", "validity", "prob_plausibility", "evaluate",
     "Dataset", "SplitPlan", "MinMaxScaler", "make_moons", "make_blobs",
     "load_csv", "CsvFormatError", "downsample_majority", "stratified_kfold",
 ]

@@ -49,7 +49,7 @@ class DomainError(ValueError):
 class Tensor:
     """Dense row-major float64 array participating in a recorded computation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -57,14 +57,10 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._op: str | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -164,7 +160,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Ten
     if _needs_graph(*parents):
         out._parents = tuple(parents)
         out._backward = backward
-        out._op = op
     return out
 
 

@@ -19,7 +19,7 @@ import json
 import sys
 
 from .data import CsvFormatError
-from .flows import TrainingError
+from .models import TrainingError
 from .pipeline import (
     RunConfig,
     ablate_lambda,

@@ -242,6 +242,7 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
     rows. It returns the per-row objective, its gradient with respect to x,
     the (distance, validity, plausibility, log-density) stats, and a mask of
     the rows that meet every constraint, or None if it has no constraints.
+    The stats in each result are those of the point returned.
 
     A row stops once it is feasible (when the objective has constraints) and
     its objective moved by less than ``convergence_tol``. A row whose numbers
@@ -256,14 +257,11 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
     iterations = np.zeros(n, dtype=np.int64)
     stop_time = np.zeros(n)
     prev_obj = np.full(n, np.inf)
-    stats = np.zeros((n, 4))  # distance, validity, plausibility, log-density
-    stats[:, 3] = np.nan
     # Rows that never settle oscillate across the constraint boundary, so
     # the final iterate can sit a hair outside it; the newest iterate that
     # met every constraint is kept as the answer of record. It is not the
     # closest feasible iterate seen: distance can grow after feasibility.
     feasible_x = np.full((n, d), np.nan)
-    feasible_stats = np.full((n, 4), np.nan)
     has_feasible = np.zeros(n, dtype=bool)
     trajectories = None
     if cfg.record_trajectory:
@@ -281,7 +279,7 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
             break
         idx = np.flatnonzero(active)
         with np.errstate(all="ignore"):
-            obj, grad, row_stats, feasible = objective(idx, x[idx])
+            obj, grad, _, feasible = objective(idx, x[idx])
 
         finite = np.all(np.isfinite(grad), axis=1) & np.isfinite(obj)
         if not finite.all():
@@ -289,20 +287,16 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
             stop(failed, it)
             covered[failed] = False
             x[failed] = np.nan
-            idx, obj, grad, row_stats = (
-                idx[finite], obj[finite], grad[finite], row_stats[finite]
-            )
+            idx, obj, grad = idx[finite], obj[finite], grad[finite]
             if feasible is not None:
                 feasible = feasible[finite]
             if idx.size == 0:
                 continue
 
-        stats[idx] = row_stats
         done = np.abs(prev_obj[idx] - obj) < cfg.convergence_tol
         if feasible is not None:
             ok = idx[feasible]
             feasible_x[ok] = x[ok]
-            feasible_stats[ok] = row_stats[feasible]
             has_feasible[ok] = True
             done &= feasible
         prev_obj[idx] = obj
@@ -328,7 +322,10 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
     stop(leftover, cfg.max_iters)
     fallback = leftover[has_feasible[leftover]]
     x[fallback] = feasible_x[fallback]
-    stats[fallback] = feasible_stats[fallback]
+    stats = np.full((n, 4), np.nan)
+    scored = np.flatnonzero(covered)
+    with np.errstate(all="ignore"):
+        stats[scored] = objective(scored, x[scored])[2]
 
     results = []
     for i in range(n):

@@ -97,9 +97,6 @@ class MinMaxScaler(BaseEstimator):
         X = check_array(X)
         return X * self.scale_ + self.min_
 
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
-
 
 def make_moons(n: int = 1024, noise: float = 0.01, seed: int = 0) -> Dataset:
     """Two interleaving half-circles with isotropic Gaussian noise."""

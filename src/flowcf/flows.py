@@ -7,20 +7,21 @@ The density direction (data -> latent) needs a single masked pass. Its numpy
 form also returns the closed-form input gradient of the log-density
 (``log_prob_and_input_grad``), which is what the counterfactual search
 consumes; the graph form on the autodiff tape (``log_prob_tensor``) trains
-the flow and checks that gradient in the tests.
+the flow, through the training loop ``models.fit_adam`` that the classifiers
+share, and checks that gradient in the tests.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .base import BaseEstimator, check_X_y, check_array
-from .models import TrainConfig, _one_hot, _val_split
-from .optim import AdamState, adam_step
+from .models import TrainConfig, TrainingError, _one_hot, _val_split, fit_adam
 
 __all__ = ["MadeTransform", "MaskedAutoregressiveFlow", "FlowNumericsError",
            "TrainingError", "load_flow"]
@@ -31,10 +32,6 @@ _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 class FlowNumericsError(ArithmeticError):
     """A transform produced a non-finite intermediate value."""
-
-
-class TrainingError(RuntimeError):
-    """Flow training hit a non-finite loss."""
 
 
 class MadeTransform:
@@ -53,7 +50,6 @@ class MadeTransform:
         self.degrees = np.asarray(degrees, dtype=np.int64)
 
         m_hidden = (np.arange(hidden) % max(d - 1, 1)) + 1
-        self.m_hidden = m_hidden
         in_dim = d + n_classes
         mask1 = np.zeros((in_dim, hidden))
         mask1[:d] = self.degrees[:, None] <= m_hidden[None, :]
@@ -72,9 +68,7 @@ class MadeTransform:
             np.zeros((hidden, d)), np.zeros(d),
             np.zeros((hidden, d)), np.zeros(d),
         ]
-        self._refresh_tensors()
-
-    def _refresh_tensors(self):
+        # the tape leaves share memory with the arrays that Adam updates
         self.param_tensors = [Tensor(p, requires_grad=True) for p in self.params]
         self._mask_tensors = [Tensor(m) for m in self.masks]
 
@@ -136,10 +130,6 @@ class MadeTransform:
             return g_diff + conditioner_vjp(-g_diff, g_log_scale)
 
         return z, log_scale.sum(axis=1), vjp
-
-    def inverse_np(self, x: np.ndarray, context: np.ndarray):
-        z, row_log_scale, _ = self.inverse_and_vjp(x, context)
-        return z, row_log_scale
 
     def forward_np(self, z: np.ndarray, context: np.ndarray):
         """Latent -> data, one coordinate per pass in degree order."""
@@ -282,54 +272,20 @@ class MaskedAutoregressiveFlow(BaseEstimator):
         cfg = self._cfg
         rng = np.random.default_rng(cfg.seed)
         self._build(X.shape[1], int(classes.max()) + 1, rng)
-
-        train_idx, val_idx = _val_split(X.shape[0], cfg.val_fraction, rng)
-        Xtr, ytr = X[train_idx], y[train_idx]
-        Xval, yval = X[val_idx], y[val_idx]
-        ctx_val = self._context(yval) if len(val_idx) else None
-
-        params = [p for tr in self.transforms_ for p in tr.params]
-        tensors = [t for tr in self.transforms_ for t in tr.param_tensors]
-        adam = AdamState([p.shape for p in params])
-        best_loss = np.inf
-        best_params = [p.copy() for p in params]
-        stale = 0
-        for epoch in range(cfg.epochs):
-            jittered = Xtr + rng.normal(0.0, self.jitter, size=Xtr.shape)
-            order = rng.permutation(Xtr.shape[0])
-            for batch_no, start in enumerate(range(0, Xtr.shape[0], cfg.batch_size)):
-                batch = order[start : start + cfg.batch_size]
-                try:
-                    logp = self.log_prob_tensor(Tensor(jittered[batch]), ytr[batch])
-                    loss = -1.0 * ad.tmean(logp)
-                except (FlowNumericsError, ad.DomainError) as err:
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, batch {batch_no}"
-                    ) from err
-                loss.backward()
-                adam_step(params, [t.grad for t in tensors], adam, cfg.learning_rate)
-                for t in tensors:
-                    t.zero_grad()
-            if ctx_val is not None:
-                val_loss = -float(np.mean(self.score_samples(Xval, yval)))
-            else:
-                val_loss = -float(np.mean(self.score_samples(Xtr, ytr)))
-            if val_loss < best_loss - 1e-12:
-                best_loss = val_loss
-                best_params = [p.copy() for p in params]
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
-        for p, best in zip(params, best_params):
-            p[...] = best
+        (Xtr, ytr), (Xval, yval) = _val_split(X, y, cfg.val_fraction, rng)
+        fit_adam(
+            [p for tr in self.transforms_ for p in tr.params],
+            [t for tr in self.transforms_ for t in tr.param_tensors],
+            lambda Xb, yb: -1.0 * ad.tmean(self.log_prob_tensor(Tensor(Xb), yb)),
+            lambda: -float(np.mean(self.score_samples(Xval, yval))),
+            lambda: (Xtr + rng.normal(0.0, self.jitter, size=Xtr.shape), ytr),
+            cfg, rng,
+        )
         return self
 
     # persistence --------------------------------------------------------
     def to_dict(self) -> dict:
-        from dataclasses import asdict
-
+        # masks and degrees are rebuilt from d, n_classes and hidden
         return {
             "n_transforms": self.n_transforms,
             "hidden": self.hidden,
@@ -339,11 +295,7 @@ class MaskedAutoregressiveFlow(BaseEstimator):
             "seed": self._cfg.seed,
             "train_config": asdict(self._cfg),
             "transforms": [
-                {
-                    "degrees": tr.degrees.tolist(),
-                    "masks": [m.tolist() for m in tr.masks],
-                    "params": [p.tolist() for p in tr.params],
-                }
+                {"params": [p.tolist() for p in tr.params]}
                 for tr in self.transforms_
             ],
         }
@@ -354,6 +306,7 @@ class MaskedAutoregressiveFlow(BaseEstimator):
 
     @classmethod
     def from_dict(cls, payload: dict):
+        """Rebuild a flow; older payloads that also store masks/degrees load too."""
         flow = cls(
             n_transforms=payload["n_transforms"],
             hidden=payload["hidden"],
@@ -362,11 +315,8 @@ class MaskedAutoregressiveFlow(BaseEstimator):
         )
         flow._build(payload["d"], payload["n_classes"], np.random.default_rng(0))
         for tr, stored in zip(flow.transforms_, payload["transforms"]):
-            tr.degrees = np.asarray(stored["degrees"], dtype=np.int64)
-            tr.masks = [np.asarray(m, dtype=np.float64) for m in stored["masks"]]
             for p, sp in zip(tr.params, stored["params"]):
                 p[...] = np.asarray(sp, dtype=np.float64)
-            tr._refresh_tensors()
         return flow
 
 

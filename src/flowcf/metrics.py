@@ -8,7 +8,6 @@ same numpy distance helper as the counterfactual search.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, asdict
 
@@ -24,7 +23,6 @@ __all__ = [
     "coverage",
     "validity",
     "prob_plausibility",
-    "log_density_mean",
     "evaluate",
 ]
 
@@ -56,18 +54,6 @@ class EvaluationReport:
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2)
-
-    def append_csv_row(self, path, label: str = "") -> None:
-        """Append a one-row CSV record, writing a header on first use."""
-        import os
-
-        exists = os.path.exists(path)
-        with open(path, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if not exists:
-                writer.writerow(("label",) + self._COLUMNS)
-            row = [label] + [getattr(self, c) for c in self._COLUMNS]
-            writer.writerow(row)
 
 
 class LocalOutlierFactor(BaseEstimator):
@@ -235,13 +221,6 @@ def prob_plausibility(results: list[CfResult], delta: DensityThreshold) -> float
     return float((log_dens >= thresholds).mean())
 
 
-def log_density_mean(results: list[CfResult]) -> float | None:
-    covered = _covered(results)
-    if not covered:
-        return None
-    return float(np.mean([r.log_density_at_cf for r in covered]))
-
-
 def evaluate(
     results: list[CfResult],
     clf,
@@ -250,8 +229,6 @@ def evaluate(
     x0_batch,
     reference_train,
     wall_time_secs: float | None = None,
-    lof_model: LocalOutlierFactor | None = None,
-    isoforest_model: IsolationForest | None = None,
 ) -> EvaluationReport:
     """Assemble the full metric row for one generated batch."""
     x0_batch = check_array(x0_batch)
@@ -279,10 +256,9 @@ def evaluate(
     l1, _ = _distance_and_grad(x0, X_cf, "l1")
     l2, _ = _distance_and_grad(x0, X_cf, "l2")
 
-    if lof_model is None:
-        lof_model = LocalOutlierFactor().fit(reference_train)
-    if isoforest_model is None:
-        isoforest_model = IsolationForest().fit(reference_train)
+    # built through the module globals, which tracing tools may rebind
+    lof_model = LocalOutlierFactor().fit(reference_train)
+    isoforest_model = IsolationForest().fit(reference_train)
 
     if wall_time_secs is None:
         wall_time_secs = max(r.wall_time_secs for r in results)

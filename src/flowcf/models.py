@@ -3,8 +3,10 @@
 Both expose a numpy ``predict_proba`` / ``predict`` surface plus
 ``proba_and_input_vjp``, which returns the probabilities together with their
 closed-form vector-Jacobian product with respect to the input; the
-counterfactual search runs on that. Training, and the gradient checks in the
-tests, use the graph-building ``predict_proba_tensor`` on the autodiff tape.
+counterfactual search runs on that. Training minimizes a cross-entropy built
+on the autodiff tape with ``predict_proba_tensor``, which the gradient checks
+in the tests also use. ``fit_adam`` here is the one training loop (minibatch
+Adam, early stopping, best-parameter restore); the flow trains through it too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .autodiff import Tensor
 from .base import BaseEstimator, check_array, check_X_y
 from .optim import AdamState, adam_step
 
-__all__ = ["TrainConfig", "LogisticRegression", "MlpClassifier", "load_classifier"]
+__all__ = ["TrainConfig", "TrainingError", "LogisticRegression", "MlpClassifier",
+           "load_classifier"]
 
 
 @dataclass
@@ -49,14 +52,75 @@ def _one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def _val_split(n: int, fraction: float, rng: np.random.Generator):
-    idx = rng.permutation(n)
-    n_val = max(1, int(round(n * fraction))) if fraction > 0 else 0
-    return idx[n_val:], idx[:n_val]
+def _val_split(X: np.ndarray, y: np.ndarray, fraction: float,
+               rng: np.random.Generator):
+    """``(X, y)`` of the training rows and of the validation rows.
+
+    With ``fraction == 0`` there are no validation rows, and the training
+    rows stand in for them.
+    """
+    idx = rng.permutation(X.shape[0])
+    n_val = max(1, int(round(X.shape[0] * fraction))) if fraction > 0 else 0
+    train = idx[n_val:]
+    val = idx[:n_val] if n_val else train
+    return (X[train], y[train]), (X[val], y[val])
+
+
+class TrainingError(RuntimeError):
+    """Training hit a non-finite loss."""
+
+
+def fit_adam(params, tensors, batch_loss, val_loss, epoch_data,
+             cfg: TrainConfig, rng: np.random.Generator) -> None:
+    """Minibatch Adam with early stopping; leaves the best parameters in place.
+
+    ``params`` are the arrays Adam updates and ``tensors`` the tape leaves
+    that share their memory. Each epoch, ``epoch_data()`` returns the
+    training arrays (drawing any noise before the epoch's permutation) and
+    ``batch_loss`` maps their minibatch rows to a scalar tape loss. Training
+    stops once ``val_loss()`` has not improved for ``cfg.patience`` epochs;
+    a loss the tape cannot evaluate raises ``TrainingError``.
+    """
+    adam = AdamState([p.shape for p in params])
+    best_loss = np.inf
+    best_params = [p.copy() for p in params]
+    stale = 0
+    for epoch in range(cfg.epochs):
+        data = epoch_data()
+        n = data[0].shape[0]
+        order = rng.permutation(n)
+        for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
+            batch = order[start : start + cfg.batch_size]
+            try:
+                loss = batch_loss(*(a[batch] for a in data))
+            except (ArithmeticError, ad.DomainError) as err:
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch}, batch {batch_no}"
+                ) from err
+            loss.backward()
+            adam_step(params, [t.grad for t in tensors], adam, cfg.learning_rate)
+            for t in tensors:
+                t.zero_grad()
+        try:
+            current = val_loss()
+        except (ArithmeticError, ad.DomainError) as err:
+            raise TrainingError(
+                f"non-finite validation loss at epoch {epoch}"
+            ) from err
+        if current < best_loss - 1e-12:
+            best_loss = current
+            best_params = [p.copy() for p in params]
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    for p, best in zip(params, best_params):
+        p[...] = best
 
 
 class _GradientClassifier(BaseEstimator):
-    """Shared training loop: cross-entropy, Adam, early stop on val loss."""
+    """Cross-entropy training through ``fit_adam``, and the numpy predict surface."""
 
     arch: str
 
@@ -64,7 +128,8 @@ class _GradientClassifier(BaseEstimator):
         self.train_config = train_config
 
     # subclass surface ---------------------------------------------------
-    def _init_params(self, d: int, n_classes: int, rng: np.random.Generator):
+    def _new_params(self, d: int, n_classes: int, rng: np.random.Generator):
+        """Fresh parameter arrays, weights at even and biases at odd positions."""
         raise NotImplementedError
 
     def _logits(self, x: Tensor) -> Tensor:
@@ -79,6 +144,11 @@ class _GradientClassifier(BaseEstimator):
     def _cfg(self) -> TrainConfig:
         return self.train_config or TrainConfig()
 
+    def _init_params(self, d: int, n_classes: int, rng: np.random.Generator):
+        self._params = self._new_params(d, n_classes, rng)
+        # the tape leaves share memory with the arrays that Adam updates
+        self._param_tensors = [Tensor(p, requires_grad=True) for p in self._params]
+
     def fit(self, X, y):
         X, y = check_X_y(X, y)
         classes = np.unique(y)
@@ -91,40 +161,14 @@ class _GradientClassifier(BaseEstimator):
         self.n_features_ = X.shape[1]
         self.n_classes_ = int(classes.size)
         self._init_params(self.n_features_, self.n_classes_, rng)
-
-        train_idx, val_idx = _val_split(X.shape[0], cfg.val_fraction, rng)
-        Xtr, ytr = X[train_idx], y[train_idx]
-        Xval, yval = X[val_idx], y[val_idx]
-
-        adam = AdamState([p.shape for p in self._params])
-        best_loss = np.inf
-        best_params = [p.copy() for p in self._params]
-        stale = 0
-        for _ in range(cfg.epochs):
-            order = rng.permutation(Xtr.shape[0])
-            for start in range(0, Xtr.shape[0], cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                loss = self._loss(Xtr[batch], ytr[batch], cfg.weight_decay)
-                loss.backward()
-                grads = [t.grad for t in self._param_tensors]
-                adam_step(self._params, grads, adam, cfg.learning_rate)
-                for t in self._param_tensors:
-                    t.zero_grad()
-            val_loss = (
-                float(self._loss(Xval, yval, 0.0).data)
-                if Xval.shape[0]
-                else float(self._loss(Xtr, ytr, 0.0).data)
-            )
-            if val_loss < best_loss - 1e-12:
-                best_loss = val_loss
-                best_params = [p.copy() for p in self._params]
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
-        for p, best in zip(self._params, best_params):
-            p[...] = best
+        (Xtr, ytr), (Xval, yval) = _val_split(X, y, cfg.val_fraction, rng)
+        fit_adam(
+            self._params, self._param_tensors,
+            lambda Xb, yb: self._loss(Xb, yb, cfg.weight_decay),
+            lambda: float(self._loss(Xval, yval, 0.0).data),
+            lambda: (Xtr, ytr),
+            cfg, rng,
+        )
         return self
 
     def _loss(self, X: np.ndarray, y: np.ndarray, weight_decay: float) -> Tensor:
@@ -133,7 +177,7 @@ class _GradientClassifier(BaseEstimator):
         nll = -1.0 * ad.tmean(ad.tsum(logp * onehot, axis=1))
         if weight_decay > 0:
             penalty = Tensor(0.0)
-            for t in self._weight_tensors:
+            for t in self._param_tensors[0::2]:
                 penalty = penalty + ad.tsum(ad.square(t))
             nll = nll + Tensor(0.5 * weight_decay) * penalty
         return nll
@@ -213,15 +257,10 @@ class LogisticRegression(_GradientClassifier):
 
     arch = "lr"
 
-    def _init_params(self, d, n_classes, rng):
+    def _new_params(self, d, n_classes, rng):
         self.weights_ = np.zeros((d, n_classes), dtype=np.float64)
         self.bias_ = np.zeros(n_classes, dtype=np.float64)
-        self._params = [self.weights_, self.bias_]
-        self._refresh_tensors()
-
-    def _refresh_tensors(self):
-        self._param_tensors = [Tensor(p, requires_grad=True) for p in self._params]
-        self._weight_tensors = self._param_tensors[:1]
+        return [self.weights_, self.bias_]
 
     def _logits(self, x: Tensor) -> Tensor:
         w, b = self._param_tensors
@@ -241,19 +280,15 @@ class MlpClassifier(_GradientClassifier):
         super().__init__(train_config)
         self.hidden = hidden
 
-    def _init_params(self, d, n_classes, rng):
+    def _new_params(self, d, n_classes, rng):
         h = self.hidden
         widths = [(d, h), (h, h), (h, n_classes)]
-        self._params = []
+        params = []
         for fan_in, fan_out in widths:
             scale = np.sqrt(2.0 / fan_in)
-            self._params.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self._params.append(np.zeros(fan_out, dtype=np.float64))
-        self._refresh_tensors()
-
-    def _refresh_tensors(self):
-        self._param_tensors = [Tensor(p, requires_grad=True) for p in self._params]
-        self._weight_tensors = self._param_tensors[0::2]
+            params.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
+            params.append(np.zeros(fan_out, dtype=np.float64))
+        return params
 
     def _logits(self, x: Tensor) -> Tensor:
         w1, b1, w2, b2, w3, b3 = self._param_tensors

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import time
+import traceback
 import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -64,11 +65,6 @@ class RunConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.k_folds < 1:
             raise ValueError("k_folds must be >= 1")
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -256,7 +252,11 @@ def run_experiment(config: RunConfig) -> ExperimentRecord:
                 data, train_idx, test_idx, config, config.seed + fold, fold_dir
             )
         except Exception as err:  # fold isolation: record and continue
-            failures.append({"fold": fold, "error": f"{type(err).__name__}: {err}"})
+            failures.append({
+                "fold": fold,
+                "error": f"{type(err).__name__}: {err}",
+                "traceback": traceback.format_exc(),
+            })
             continue
         reports.append(report)
         fold_dicts.append(report.to_dict())

@@ -323,6 +323,37 @@ def test_wachter_flips_class_without_density_term(setup):
     assert all(np.isnan(r.log_density_at_cf) for r in res)
 
 
+@pytest.mark.parametrize("wachter", [False, True], ids=["plausible", "wachter"])
+def test_result_losses_describe_the_returned_point(setup, wachter):
+    # max_iters=5 leaves most rows at the cap, where the last Adam step
+    # moved x_cf after the objective was last evaluated
+    X, y, clf, flow, delta = setup
+    x0 = X[:20]
+    targets = 1 - clf.predict(x0)
+    cfg = CfConfig(max_iters=5, learning_rate=0.05)
+    if wachter:
+        results = wachter_generate(x0, targets, clf, cfg)
+    else:
+        results = generate(x0, targets, clf, flow, delta, cfg)
+    assert sum(r.iterations_used == cfg.max_iters for r in results) >= 10
+    x_cf = np.stack([r.x_cf for r in results])
+    dist = np.sqrt(((x_cf - x0) ** 2).sum(axis=1) + 1e-12)
+    probs = clf.predict_proba(x_cf)
+    logp = flow.score_samples(x_cf, targets)
+    field = lambda name: np.array([getattr(r, name) for r in results])
+    assert np.allclose(field("distance_loss"), dist, rtol=1e-12, atol=0)
+    if wachter:
+        validity = -np.log(probs[np.arange(20), targets])
+        plausibility = np.zeros(20)
+        assert np.all(np.isnan(field("log_density_at_cf")))
+    else:
+        validity = np.maximum(0.5 + cfg.epsilon - probs[np.arange(20), targets], 0)
+        plausibility = np.maximum(delta.for_labels(targets) - logp, 0)
+        assert np.allclose(field("log_density_at_cf"), logp, rtol=1e-12, atol=0)
+    assert np.allclose(field("validity_loss"), validity, rtol=1e-12, atol=1e-15)
+    assert np.allclose(field("plausibility_loss"), plausibility, rtol=1e-12, atol=1e-15)
+
+
 def test_search_leaves_frozen_models_untouched(setup):
     X, y, clf, flow, delta = setup
     tensors = clf._param_tensors + [

@@ -1,5 +1,7 @@
 """Conditional flow: invertibility, autoregressive structure, normalization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -98,8 +100,8 @@ def test_single_transform_is_triangular():
         hi, lo = x0.copy(), x0.copy()
         hi[0, j] += step
         lo[0, j] -= step
-        z_hi, _ = tr.inverse_np(hi, ctx)
-        z_lo, _ = tr.inverse_np(lo, ctx)
+        z_hi, _, _ = tr.inverse_and_vjp(hi, ctx)
+        z_lo, _, _ = tr.inverse_and_vjp(lo, ctx)
         jac[:, j] = (z_hi[0] - z_lo[0]) / (2 * step)
     for i in range(d):
         for j in range(d):
@@ -177,6 +179,24 @@ def test_json_round_trip(tmp_path, trained_flow, moons_scaled):
         trained_flow.score_samples(X[:50], y[:50]),
         atol=1e-12,
     )
+
+
+def test_persisted_flow_omits_derivable_masks(tmp_path, trained_flow, moons_scaled):
+    # masks and degrees follow from d, n_classes, hidden and the transform index
+    X, y = moons_scaled
+    payload = trained_flow.to_dict()
+    assert all(set(t) == {"params"} for t in payload["transforms"])
+    path = tmp_path / "flow.json"
+    trained_flow.save(path)
+    expected = trained_flow.score_samples(X, y)
+    assert np.array_equal(load_flow(path).score_samples(X, y), expected)
+
+    # files written before masks and degrees were dropped still load
+    for t, tr in zip(payload["transforms"], trained_flow.transforms_):
+        t["degrees"] = tr.degrees.tolist()
+        t["masks"] = [m.tolist() for m in tr.masks]
+    path.write_text(json.dumps(payload))
+    assert np.array_equal(load_flow(path).score_samples(X, y), expected)
 
 
 def test_rejects_out_of_range_labels(trained_flow, moons_scaled):

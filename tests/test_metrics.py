@@ -1,6 +1,5 @@
 """Outlier scorers against brute-force references, plus the report plumbing."""
 
-import csv
 import json
 
 import numpy as np
@@ -15,7 +14,6 @@ from flowcf.metrics import (
     LocalOutlierFactor,
     coverage,
     evaluate,
-    log_density_mean,
     prob_plausibility,
     validity,
     _avg_path_correction,
@@ -158,8 +156,6 @@ def test_prob_plausibility_threshold_comparison():
         _result([0.0, 0.0], target=0, logp=0.0),  # boundary counts as plausible
     ]
     assert prob_plausibility(results, delta) == pytest.approx(2 / 3)
-    assert log_density_mean(results) == pytest.approx((1.5 + 0.5 + 0.0) / 3)
-    assert log_density_mean([_result([0], covered=False)]) is None
 
 
 def test_evaluate_refreshes_density_and_serializes(tmp_path):
@@ -186,14 +182,6 @@ def test_evaluate_refreshes_density_and_serializes(tmp_path):
     report.to_json(jpath)
     loaded = json.loads(jpath.read_text())
     assert loaded == report.to_dict()
-
-    cpath = tmp_path / "rows.csv"
-    report.append_csv_row(cpath, label="a")
-    report.append_csv_row(cpath, label="b")
-    with open(cpath, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "label" and len(rows) == 3
-    assert rows[1][0] == "a" and rows[2][0] == "b"
 
 
 def test_evaluate_with_no_covered_rows():

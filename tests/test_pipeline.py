@@ -119,6 +119,33 @@ def test_failed_fold_is_recorded_not_fatal(tmp_path, monkeypatch):
     assert len(record.fold_reports) == 1
 
 
+def test_failed_fold_keeps_its_traceback(monkeypatch):
+    import flowcf.pipeline as pipeline
+
+    real_run_fold = pipeline.run_fold
+
+    def raise_on_second_fold(data, train_idx, test_idx, config, fold_seed, out):
+        if fold_seed == config.seed + 1:
+            raise IndexError("synthetic index error")
+        return real_run_fold(data, train_idx, test_idx, config, fold_seed, out)
+
+    monkeypatch.setattr(pipeline, "run_fold", raise_on_second_fold)
+    config = RunConfig(
+        dataset={"name": "moons", "n": 120},
+        classifier={"arch": "lr", "epochs": 30},
+        flow={"n_transforms": 1, "hidden": 16, "epochs": 10},
+        cf={"max_iters": 100},
+        k_folds=2,
+        seed=0,
+    )
+    record = run_experiment(config)
+    [failure] = record.failed_folds
+    assert failure["fold"] == 1
+    assert failure["error"] == "IndexError: synthetic index error"
+    assert "in raise_on_second_fold" in failure["traceback"]
+    assert failure["traceback"].rstrip().endswith("IndexError: synthetic index error")
+
+
 def test_single_fold_means_one_split_everywhere(monkeypatch):
     # run_experiment and compare_density must hold out the same rows
     import flowcf.pipeline as pipeline
