@@ -9,11 +9,13 @@ runs produce the same counterfactuals.
 
 One descent loop (``_search``) serves both the plausible objective and the
 Wachter baseline, and steps with ``optim.adam_step`` on the rows still
-active. Each objective is evaluated with its input gradient in closed form
-with numpy, from the models' ``proba_and_input_vjp`` and
-``log_prob_and_input_grad``; the models are only read. The tape-based loss
-functions below (``validity_loss_binary`` and friends) build the same
-objective on the autodiff graph, which the tests use as the reference.
+active. The loop keeps no history: a caller that wants a row's path wraps
+the objective, which sees every iterate (see ``_search``). Each objective
+is evaluated with its input gradient in closed form with numpy, from the
+models' ``proba_and_input_vjp`` and ``log_prob_and_input_grad``; the
+models are only read. The tape-based loss functions below
+(``validity_loss_binary`` and friends) build the same objective on the
+autodiff graph, which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import check_array
+from .base import check_array, check_X_y
 from .flows import MaskedAutoregressiveFlow
 from .models import _one_hot
 from .optim import AdamState, adam_step
@@ -51,7 +53,6 @@ class CfConfig:
     distance_kind: str = "l2"
     learning_rate: float = 5e-3
     max_iters: int = 5000
-    snapshot_every: int = 150
     convergence_tol: float = 1e-7
     # cap on each row's gradient norm; the flow's log-density gradient can
     # reach ~1e6 in far tails, which would poison Adam's second-moment
@@ -59,7 +60,6 @@ class CfConfig:
     max_grad_norm: float = 100.0
     validity_loss: str = "hinge"  # or "cross_entropy"
     c_reg: float = 1.0  # distance weight of the Wachter-style baseline
-    record_trajectory: bool = False
 
     def __post_init__(self):
         if self.lam <= 0 or self.epsilon <= 0 or self.max_iters < 1:
@@ -79,7 +79,7 @@ class DensityThreshold:
     log_delta: np.ndarray
 
     def for_labels(self, y) -> np.ndarray:
-        return self.log_delta[np.asarray(y, dtype=np.int64)]
+        return self.log_delta[_check_labels(y, self.log_delta.shape[0])]
 
 
 @dataclass
@@ -93,13 +93,24 @@ class CfResult:
     plausibility_loss: float
     log_density_at_cf: float
     wall_time_secs: float
-    trajectory: list[tuple[int, np.ndarray]] | None = None
+
+
+def _check_labels(y, n_classes: int, name: str = "labels") -> np.ndarray:
+    """1-d int64 class indices; ValueError unless each lies in [0, n_classes)."""
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise ValueError(f"{name} must be 1-d; got shape {y.shape}")
+    if y.size and not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"{name} must be integer class indices, got {y.dtype}")
+    if y.size and (y.min() < 0 or y.max() >= n_classes):
+        raise ValueError(f"{name} must lie in [0, {n_classes})")
+    return y.astype(np.int64)
 
 
 def compute_delta(flow: MaskedAutoregressiveFlow, X, y) -> DensityThreshold:
     """Per-class median of training log-densities under the flow."""
-    X = check_array(X)
-    y = np.asarray(y, dtype=np.int64)
+    X, y = check_X_y(X, y)
+    y = _check_labels(y, flow.n_classes_)
     log_delta = np.empty(flow.n_classes_)
     for c in range(flow.n_classes_):
         mask = y == c
@@ -242,7 +253,8 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
     rows. It returns the per-row objective, its gradient with respect to x,
     the (distance, validity, plausibility, log-density) stats, and a mask of
     the rows that meet every constraint, or None if it has no constraints.
-    The stats in each result are those of the point returned.
+    It runs on the active rows' points once per iteration, before their step,
+    and on the returned points after the loop; results carry those stats.
 
     A row stops once it is feasible (when the objective has constraints) and
     its objective moved by less than ``convergence_tol``. A row whose numbers
@@ -263,9 +275,6 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
     # closest feasible iterate seen: distance can grow after feasibility.
     feasible_x = np.full((n, d), np.nan)
     has_feasible = np.zeros(n, dtype=bool)
-    trajectories = None
-    if cfg.record_trajectory:
-        trajectories = [[(0, x0[i].copy())] for i in range(n)]
 
     start = time.perf_counter()
 
@@ -314,10 +323,6 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
         # every active row has taken it - 1 steps, so one counter serves all
         adam_step([x], [grad], adam, cfg.learning_rate, rows=idx)
 
-        if trajectories is not None and it % cfg.snapshot_every == 0:
-            for i in idx:
-                trajectories[i].append((it, x[i].copy()))
-
     leftover = np.flatnonzero(active)
     stop(leftover, cfg.max_iters)
     fallback = leftover[has_feasible[leftover]]
@@ -329,11 +334,6 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
 
     results = []
     for i in range(n):
-        traj = None
-        if trajectories is not None:
-            traj = trajectories[i]
-            if traj[-1][0] != iterations[i] or not np.array_equal(traj[-1][1], x[i]):
-                traj.append((int(iterations[i]), x[i].copy()))
         dist, val, plaus, logp = stats[i]
         results.append(
             CfResult(
@@ -346,7 +346,6 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
                 plausibility_loss=float(plaus),
                 log_density_at_cf=float(logp),
                 wall_time_secs=float(stop_time[i]),
-                trajectory=traj,
             )
         )
     return results
@@ -354,17 +353,13 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
 
 def _check_targets(targets, n_rows: int, n_classes: int) -> np.ndarray:
     """Targets as int64; ValueError unless one class index per row."""
-    t = np.asarray(targets)
-    if t.ndim != 1 or t.shape[0] != n_rows:
+    t = _check_labels(targets, n_classes, "targets")
+    if t.shape[0] != n_rows:
         raise ValueError(
-            f"targets must be 1-d with one entry per row of x0_batch "
-            f"({n_rows}); got shape {t.shape}"
+            f"targets must have one entry per row of x0_batch ({n_rows}); "
+            f"got {t.shape[0]}"
         )
-    if t.size and not np.issubdtype(t.dtype, np.integer):
-        raise ValueError(f"targets must be integer class indices, got {t.dtype}")
-    if t.size and (t.min() < 0 or t.max() >= n_classes):
-        raise ValueError(f"targets must lie in [0, {n_classes})")
-    return t.astype(np.int64)
+    return t
 
 
 def generate(x0_batch, targets, clf, flow, delta, cfg: CfConfig) -> list[CfResult]:

@@ -70,6 +70,9 @@ class TrainingError(RuntimeError):
     """Training hit a non-finite loss."""
 
 
+# the tape raises on a non-finite value, which fit_adam reports as a
+# TrainingError, so numpy's overflow warnings would only repeat it
+@np.errstate(all="ignore")
 def fit_adam(params, tensors, batch_loss, val_loss, epoch_data,
              cfg: TrainConfig, rng: np.random.Generator) -> None:
     """Minibatch Adam with early stopping; leaves the best parameters in place.

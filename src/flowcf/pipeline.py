@@ -17,7 +17,10 @@ from . import __version__
 from .counterfactual import (
     CfConfig,
     DensityThreshold,
+    _plausible_objective,
+    _search,
     _validity_and_grad,
+    _wachter_objective,
     compute_delta,
     generate,
     wachter_generate,
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 METHODS = ("plausible", "wachter")
+TRAJECTORY_EVERY = 150  # steps between the points export_trajectory writes
 
 
 @dataclass
@@ -65,6 +69,10 @@ class RunConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.k_folds < 1:
             raise ValueError("k_folds must be >= 1")
+        try:
+            CfConfig(**self.cf)
+        except TypeError as err:  # an unknown key or a badly typed value
+            raise ValueError(f"cf {self.cf}: {err}") from err
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -365,8 +373,8 @@ def export_trajectory(run_dir, instance_index: int, fold: int = 0,
     """Re-derive one instance's optimization path from persisted artifacts.
 
     Writes ``trajectory_<i>.csv`` plus, for 2-D data, ``density_grid.csv``
-    covering [-0.5, 1.5]^2 for contour plots. Generation is deterministic,
-    so the re-run path equals the original one.
+    covering [-0.5, 1.5]^2 for contour plots. It replays the run's own method
+    (deterministic): each ``TRAJECTORY_EVERY``-th point, then the answer.
     """
     run_dir = Path(run_dir)
     fold_dir = run_dir / f"fold_{fold}"
@@ -385,11 +393,22 @@ def export_trajectory(run_dir, instance_index: int, fold: int = 0,
         )
     row = rows[instance_index]
     d = flow.d_
-    x0 = np.array([float(row[k]) for k in row if k.startswith("x0_")])
-    target = int(row["target"])
+    x0 = np.array([[float(row[k]) for k in row if k.startswith("x0_")]])
+    targets = np.array([int(row["target"])])
 
-    cf_cfg = CfConfig(record_trajectory=True, **config.cf)
-    result = generate(x0[None, :], [target], clf, flow, delta, cf_cfg)[0]
+    cf_cfg = CfConfig(**config.cf)
+    if config.method == "wachter":
+        objective = _wachter_objective(x0, targets, clf, cf_cfg)
+    else:
+        objective = _plausible_objective(x0, targets, clf, flow, delta, cf_cfg)
+    seen = []  # the point after k steps is seen[k]
+
+    def recording(idx, x):
+        seen.extend(x.copy())
+        return objective(idx, x)
+
+    result = _search(x0, targets, recording, cf_cfg)[0]
+    path = [(k, seen[k]) for k in range(0, result.iterations_used, TRAJECTORY_EVERY)]
 
     traj_path = fold_dir / f"trajectory_{instance_index}.csv"
     with open(traj_path, "w", newline="", encoding="utf-8") as fh:
@@ -398,13 +417,13 @@ def export_trajectory(run_dir, instance_index: int, fold: int = 0,
             ["iteration"] + [f"dim_{i}" for i in range(d)]
             + ["log_density", "validity_hinge", "plausibility_hinge"]
         )
-        for it, x in result.trajectory:
+        for it, x in path + [(result.iterations_used, result.x_cf)]:
             vh, _, _ = _validity_and_grad(
-                clf.predict_proba(x[None, :]), np.array([target]), "hinge",
+                clf.predict_proba(x[None, :]), targets, "hinge",
                 cf_cfg.epsilon,
             )
-            logp = flow.score_samples(x[None, :], [target])[0]
-            ph = max(delta.log_delta[target] - logp, 0.0)
+            logp = flow.score_samples(x[None, :], targets)[0]
+            ph = max(delta.log_delta[targets[0]] - logp, 0.0)
             writer.writerow([it] + list(x) + [logp, float(vh[0]), ph])
 
     paths = {"trajectory": str(traj_path)}

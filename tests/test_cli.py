@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -87,6 +88,32 @@ def test_bad_config_returns_2(tmp_path):
     unknown_key = _write_config(tmp_path, {"frobnicate": 1}, "k.json")
     assert main(["run", "--config", unknown_key]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("command,cf", [
+    ("run", {"bogus": 1}),
+    ("run", {"lam": "big"}),
+    ("ablate-lambda", {"bogus": 1}),
+    ("ablate-loss", {"bogus": 1}),
+], ids=["unknown-key", "bad-value", "ablate-lambda", "ablate-loss"])
+def test_bad_cf_settings_fail_when_the_config_loads(tmp_path, capsys, command, cf):
+    cfg = _tiny_config(tmp_path / "out", cf=cf)
+    assert main([command, "--config", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and next(iter(cf)) in err
+    assert not (tmp_path / "out").exists()  # rejected before any fold ran
+
+
+def test_export_trajectory_rejects_unknown_cf_keys(completed_run, tmp_path,
+                                                   capsys):
+    # a run saved by an older version can carry cf keys that no longer exist
+    run_dir = tmp_path / "run"
+    shutil.copytree(completed_run, run_dir)
+    config = json.loads((run_dir / "config.json").read_text())
+    config["cf"]["bogus"] = 1
+    (run_dir / "config.json").write_text(json.dumps(config))
+    assert main(["export-trajectory", "--run-dir", str(run_dir)]) == 2
+    assert "bogus" in capsys.readouterr().err
 
 
 def test_missing_data_file_returns_4(tmp_path):

@@ -1,10 +1,12 @@
 """Counterfactual objective pieces and the batch search loop."""
 
+import csv
+import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowcf import autodiff as ad
 from flowcf.autodiff import DimensionError, Tensor
@@ -23,9 +25,20 @@ from flowcf.counterfactual import (
     wachter_generate,
 )
 from flowcf.data import MinMaxScaler, make_blobs, make_moons, stratified_kfold
-from flowcf.flows import LOG_SCALE_BOUND, MaskedAutoregressiveFlow
-from flowcf.models import LogisticRegression, MlpClassifier, TrainConfig
-from flowcf.pipeline import select_targets
+from flowcf.flows import LOG_SCALE_BOUND, MaskedAutoregressiveFlow, load_flow
+from flowcf.models import (
+    LogisticRegression,
+    MlpClassifier,
+    TrainConfig,
+    load_classifier,
+)
+from flowcf.pipeline import (
+    TRAJECTORY_EVERY,
+    RunConfig,
+    export_trajectory,
+    run_experiment,
+    select_targets,
+)
 
 
 # fixtures -----------------------------------------------------------------
@@ -181,6 +194,34 @@ def test_threshold_label_lookup():
     assert np.array_equal(th.for_labels([2, 0, 1, 1]), [0.25, 1.5, -2.0, -2.0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_classes=st.integers(2, 3),
+    labels=st.lists(st.integers(-1, 3), min_size=1, max_size=10),
+    extra_rows=st.integers(-1, 1),
+)
+@example(n_classes=2, labels=[-1, 0, 1], extra_rows=0)
+@example(n_classes=2, labels=[0, 1, 2], extra_rows=0)
+@example(n_classes=2, labels=[0, 1, 0], extra_rows=-1)
+def test_bad_labels_raise_value_error(n_classes, labels, extra_rows):
+    y = np.array(labels)
+    in_range = bool(np.all((y >= 0) & (y < n_classes)))
+    th = DensityThreshold(log_delta=np.arange(n_classes, dtype=np.float64))
+    if in_range:
+        assert np.array_equal(th.for_labels(y), y)
+    else:
+        with pytest.raises(ValueError):
+            th.for_labels(y)
+    X = np.random.default_rng(0).normal(size=(max(len(y) + extra_rows, 1), 2))
+    flow = _identity_flow(n_classes=n_classes)
+    every_class = set(labels) == set(range(n_classes))
+    if len(X) == len(y) and every_class:
+        assert compute_delta(flow, X, y).log_delta.shape == (n_classes,)
+    else:
+        with pytest.raises(ValueError):
+            compute_delta(flow, X, y)
+
+
 # config validation ---------------------------------------------------------
 
 
@@ -258,17 +299,67 @@ def test_frozen_models_give_bit_identical_repeats(setup):
         assert ra.iterations_used == rb.iterations_used
 
 
-def test_trajectory_endpoints(setup):
-    X, y, clf, flow, delta = setup
-    x0 = X[:2]
-    targets = 1 - y[:2]
-    cfg = CfConfig(max_iters=600, record_trajectory=True, snapshot_every=50)
-    res = generate(x0, targets, clf, flow, delta, cfg)
-    for r, orig in zip(res, x0):
-        steps, points = zip(*r.trajectory)
-        assert steps[0] == 0 and np.array_equal(points[0], orig)
+def _saved_run(run_dir, method, max_iters):
+    """A tiny one-fold run of ``method``, persisted under ``run_dir``."""
+    run_experiment(RunConfig(
+        dataset={"name": "moons", "n": 160},
+        classifier={"arch": "lr", "epochs": 60},
+        flow={"n_transforms": 1, "hidden": 16, "epochs": 30},
+        cf={"max_iters": max_iters},
+        method=method, k_folds=1, seed=0, out=str(run_dir),
+    ))
+    with open(run_dir / "fold_0" / "cfs.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _exported_path(run_dir, instance):
+    """The (steps, points) that export_trajectory writes for one instance."""
+    paths = export_trajectory(run_dir, instance, grid_resolution=2)
+    with open(paths["trajectory"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    steps = np.array([int(r["iteration"]) for r in rows])
+    points = np.array([[float(r["dim_0"]), float(r["dim_1"])] for r in rows])
+    return steps, points
+
+
+def _columns(row, prefix):
+    return np.array([float(row[f"{prefix}_x{j}"]) for j in range(2)])
+
+
+def test_trajectory_endpoints(tmp_path):
+    # a multiple of TRAJECTORY_EVERY, so a row at the cap stops on an
+    # export step
+    cfg = CfConfig(max_iters=4 * TRAJECTORY_EVERY)
+    stored = _saved_run(tmp_path, "plausible", cfg.max_iters)
+    fold = tmp_path / "fold_0"
+    clf = load_classifier(fold / "classifier.json")
+    flow = load_flow(fold / "flow.json")
+    with open(fold / "delta.json") as fh:
+        delta = DensityThreshold(np.asarray(json.load(fh)["log_delta"]))
+    for i, row in enumerate(stored[:8]):
+        steps, points = _exported_path(tmp_path, i)
+        x0 = _columns(row, "x0")
+        r = generate(x0[None, :], [int(row["target"])], clf, flow, delta, cfg)[0]
+        assert steps[0] == 0 and np.array_equal(points[0], x0)
+        # every row of this run stops at the cap, where the answer of
+        # record may be an earlier feasible iterate
+        assert steps[-1] == r.iterations_used == cfg.max_iters
         assert np.array_equal(points[-1], r.x_cf)
-        assert list(steps) == sorted(steps)
+        assert np.all(np.diff(steps) > 0)
+        assert np.all(steps[:-1] % TRAJECTORY_EVERY == 0)
+
+
+def test_wachter_export_ends_at_the_stored_counterfactual(tmp_path):
+    max_iters = 20 * TRAJECTORY_EVERY
+    stored = _saved_run(tmp_path, "wachter", max_iters)
+    at_cap = set()
+    for i, row in enumerate(stored[:8]):
+        steps, points = _exported_path(tmp_path, i)
+        assert steps[0] == 0 and np.array_equal(points[0], _columns(row, "x0"))
+        assert np.allclose(points[-1], _columns(row, "cf"), rtol=0, atol=1e-9)
+        assert np.all(np.diff(steps) > 0)
+        at_cap.add(steps[-1] == max_iters)
+    assert at_cap == {True, False}  # converged rows and rows at the cap
 
 
 def test_cross_entropy_variant_reaches_validity(setup):
