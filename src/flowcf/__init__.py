@@ -49,10 +49,7 @@ from .metrics import (
     EvaluationReport,
     IsolationForest,
     LocalOutlierFactor,
-    coverage,
     evaluate,
-    prob_plausibility,
-    validity,
 )
 from .models import (
     LogisticRegression,
@@ -76,8 +73,7 @@ __all__ = [
     "CfConfig", "CfResult", "DensityThreshold", "compute_delta", "distance",
     "generate", "wachter_generate", "plausibility_loss",
     "validity_loss_binary", "validity_loss_multiclass",
-    "EvaluationReport", "LocalOutlierFactor", "IsolationForest",
-    "coverage", "validity", "prob_plausibility", "evaluate",
+    "EvaluationReport", "LocalOutlierFactor", "IsolationForest", "evaluate",
     "Dataset", "SplitPlan", "MinMaxScaler", "make_moons", "make_blobs",
     "load_csv", "CsvFormatError", "downsample_majority", "stratified_kfold",
 ]

@@ -1,12 +1,23 @@
 """Command-line entry point.
 
-Subcommands::
+Subcommands and the flags each takes besides ``--config`` (a JSON
+``RunConfig``) and ``--out`` (the output directory)::
 
     flowcf run               one cross-validated experiment
+                             --seed --method --lambda --dataset
     flowcf ablate-lambda     sweep the constraint weight
+                             --seed --method --dataset --lambdas
     flowcf ablate-loss       hinge vs cross-entropy validity loss
+                             --seed --method --lambda --dataset
     flowcf export-trajectory dump one instance's optimization path
+                             --run-dir --instance --fold
     flowcf compare-density   flow vs KDE vs Gaussian-mixture test likelihood
+                             --seed --dataset
+
+A subcommand offers only the flags it reads; ``export-trajectory`` replays
+the settings saved in the run directory. The dataset, classifier, flow and
+``cf`` specs are checked when the config loads, so a bad key fails before
+any model trains.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 training or
 generation failure, 4 unreadable data file.
@@ -19,8 +30,8 @@ import json
 import sys
 
 from .data import CsvFormatError
-from .models import TrainingError
 from .pipeline import (
+    METHODS,
     RunConfig,
     ablate_lambda,
     ablate_loss,
@@ -31,16 +42,20 @@ from .pipeline import (
 
 DEFAULT_LAMBDAS = (1.0, 2.0, 5.0, 10.0, 100.0, 1000.0)
 
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--seed", type=int, help="override the experiment seed")
-    sub.add_argument("--out", help="override the output directory")
-    sub.add_argument("--method", choices=["plausible", "wachter"],
-                     help="override the generation method")
-    sub.add_argument("--lambda", dest="lam", type=float,
-                     help="override the constraint weight")
-    sub.add_argument("--dataset", help="override the dataset (name or JSON spec)")
+_OVERRIDES = {
+    "--seed": dict(type=int, help="override the experiment seed"),
+    "--method": dict(choices=METHODS, help="override the generation method"),
+    "--lambda": dict(dest="lam", type=float, help="override the constraint weight"),
+    "--dataset": dict(help="override the dataset (name or JSON spec)"),
+}
+# the overrides each subcommand reads, besides --config and --out
+_SUBCOMMANDS = {
+    "run": ("--seed", "--method", "--lambda", "--dataset"),
+    "ablate-lambda": ("--seed", "--method", "--dataset"),
+    "ablate-loss": ("--seed", "--method", "--lambda", "--dataset"),
+    "compare-density": ("--seed", "--dataset"),
+    "export-trajectory": (),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,10 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("run", "ablate-lambda", "ablate-loss", "compare-density",
-                 "export-trajectory"):
-        sub = subs.add_parser(name)
-        _add_common(sub)
+    for name, flags in _SUBCOMMANDS.items():
+        # no abbreviations: ablate-lambda would read --lambda as --lambdas
+        sub = subs.add_parser(name, allow_abbrev=False)
+        sub.add_argument("--config", help="JSON config file")
+        sub.add_argument("--out", help="override the output directory")
+        for flag in flags:
+            sub.add_argument(flag, **_OVERRIDES[flag])
     subs.choices["ablate-lambda"].add_argument(
         "--lambdas", default=",".join(f"{v:g}" for v in DEFAULT_LAMBDAS),
         help="comma-separated sweep values",
@@ -71,15 +89,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
-    if args.seed is not None:
+    given = vars(args)  # a subcommand's namespace holds only its own flags
+    if given.get("seed") is not None:
         raw["seed"] = args.seed
     if args.out is not None:
         raw["out"] = args.out
-    if args.method is not None:
+    if given.get("method") is not None:
         raw["method"] = args.method
-    if args.lam is not None:
+    if given.get("lam") is not None:
         raw["cf"] = dict(raw.get("cf", {}), lam=args.lam)
-    if args.dataset is not None:
+    if given.get("dataset") is not None:
         spec = args.dataset.strip()
         if spec.startswith("{"):
             raw["dataset"] = json.loads(spec)
@@ -125,10 +144,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"data error: {err}", file=sys.stderr)
         return 4
-    except (TrainingError, RuntimeError) as err:
+    except RuntimeError as err:  # TrainingError included
         print(f"run failed: {err}", file=sys.stderr)
         return 3
-    except (ValueError, IndexError) as err:
+    except ValueError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     return 0

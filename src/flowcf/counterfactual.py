@@ -45,6 +45,11 @@ __all__ = [
     "wachter_generate",
 ]
 
+# cap on each row's gradient norm; the flow's log-density gradient can reach
+# ~1e6 in far tails, which would poison Adam's second-moment memory and stall
+# progress for thousands of iterations
+MAX_GRAD_NORM = 100.0
+
 
 @dataclass
 class CfConfig:
@@ -54,18 +59,12 @@ class CfConfig:
     learning_rate: float = 5e-3
     max_iters: int = 5000
     convergence_tol: float = 1e-7
-    # cap on each row's gradient norm; the flow's log-density gradient can
-    # reach ~1e6 in far tails, which would poison Adam's second-moment
-    # memory and stall progress for thousands of iterations
-    max_grad_norm: float = 100.0
     validity_loss: str = "hinge"  # or "cross_entropy"
     c_reg: float = 1.0  # distance weight of the Wachter-style baseline
 
     def __post_init__(self):
         if self.lam <= 0 or self.epsilon <= 0 or self.max_iters < 1:
             raise ValueError("require lam > 0, epsilon > 0, max_iters >= 1")
-        if self.max_grad_norm <= 0:
-            raise ValueError("max_grad_norm must be positive")
         if self.distance_kind not in ("l1", "l2"):
             raise ValueError("distance_kind must be 'l1' or 'l2'")
         if self.validity_loss not in ("hinge", "cross_entropy"):
@@ -223,7 +222,7 @@ def _plausible_objective(x0, targets, clf, flow, delta, cfg: CfConfig):
         grad = g_dist + cfg.lam * (clf_vjp(g_probs) - (gap > 0.0)[:, None] * g_logp)
         # cross-entropy never reaches zero, so feasibility reads the margin
         feasible = (margin <= 0.0) & (plaus <= 0.0)
-        return obj, grad, np.array([dist, val, plaus, logp]).T, feasible
+        return obj, grad, (dist, val, plaus, logp), feasible
 
     return objective
 
@@ -239,8 +238,7 @@ def _wachter_objective(x0, targets, clf, cfg: CfConfig):
         )
         obj = ce + cfg.c_reg * dist
         grad = clf_vjp(g_probs) + cfg.c_reg * g_dist
-        no_density = np.full(idx.size, np.nan)
-        stats = np.array([dist, ce, np.zeros(idx.size), no_density]).T
+        stats = (dist, ce, np.zeros(idx.size), np.full(idx.size, np.nan))
         return obj, grad, stats, None
 
     return objective
@@ -251,10 +249,11 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
 
     ``objective(idx, x)`` takes row indices and the current points of those
     rows. It returns the per-row objective, its gradient with respect to x,
-    the (distance, validity, plausibility, log-density) stats, and a mask of
-    the rows that meet every constraint, or None if it has no constraints.
-    It runs on the active rows' points once per iteration, before their step,
-    and on the returned points after the loop; results carry those stats.
+    the per-row (distance, validity, plausibility, log-density) arrays as a
+    tuple, and a mask of the rows that meet every constraint, or None if it
+    has no constraints. It runs on the active rows' points once per
+    iteration, before their step, and on the returned points after the loop;
+    only that last call's stats are read, and results carry them.
 
     A row stops once it is feasible (when the objective has constraints) and
     its objective moved by less than ``convergence_tol``. A row whose numbers
@@ -318,7 +317,7 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
         # clip per row so one extreme gradient cannot dominate the
         # second-moment average for thousands of subsequent steps
         norms = np.sqrt((grad**2).sum(axis=1, keepdims=True))
-        grad = grad * np.minimum(1.0, cfg.max_grad_norm / np.maximum(norms, 1e-300))
+        grad = grad * np.minimum(1.0, MAX_GRAD_NORM / np.maximum(norms, 1e-300))
 
         # every active row has taken it - 1 steps, so one counter serves all
         adam_step([x], [grad], adam, cfg.learning_rate, rows=idx)
@@ -330,7 +329,7 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
     stats = np.full((n, 4), np.nan)
     scored = np.flatnonzero(covered)
     with np.errstate(all="ignore"):
-        stats[scored] = objective(scored, x[scored])[2]
+        stats[scored] = np.column_stack(objective(scored, x[scored])[2])
 
     results = []
     for i in range(n):

@@ -1,9 +1,13 @@
 """Evaluation suite: coverage, validity, plausibility, distances, outlier scores.
 
-LOF and Isolation Forest are fitted on the training split (all classes) and
-score counterfactuals in novelty mode, so the numbers measure realism with
-respect to the data rather than the target class alone. L1/L2 costs use the
-same numpy distance helper as the counterfactual search.
+``evaluate`` selects the covered rows of a batch once (the search succeeded
+and the point is finite) and computes every other metric from the arrays
+they give: the counterfactual points, their targets and their flow
+log-densities. LOF and Isolation Forest are fitted on the training split
+(all classes) and score counterfactuals in novelty mode, so the numbers
+measure realism with respect to the data rather than the target class
+alone. L1/L2 costs use the same numpy distance helper as the
+counterfactual search.
 """
 
 from __future__ import annotations
@@ -20,9 +24,6 @@ __all__ = [
     "EvaluationReport",
     "LocalOutlierFactor",
     "IsolationForest",
-    "coverage",
-    "validity",
-    "prob_plausibility",
     "evaluate",
 ]
 
@@ -42,12 +43,6 @@ class EvaluationReport:
     wall_time_secs: float
     n_instances: int
 
-    _COLUMNS = (
-        "coverage", "validity", "prob_plausibility", "l1_mean", "l2_mean",
-        "log_density_mean", "lof_mean", "isoforest_mean", "wall_time_secs",
-        "n_instances",
-    )
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -64,38 +59,37 @@ class LocalOutlierFactor(BaseEstimator):
 
     def fit(self, X):
         X = check_array(X)
-        k = self.n_neighbors
-        if not 1 <= k < X.shape[0]:
+        if not 1 <= self.n_neighbors < X.shape[0]:
             raise ValueError("need 1 <= n_neighbors < len(reference)")
         self.reference_ = X
         dists = _pairwise(X, X)
         np.fill_diagonal(dists, np.inf)
-        order = np.argsort(dists, axis=1, kind="stable")
-        self._ref_knn = order[:, :k]
-        knn_dists = np.take_along_axis(dists, self._ref_knn, axis=1)
+        knn, knn_dists = self._neighbours(dists)
         self._ref_kdist = knn_dists[:, -1]
-        reach = np.maximum(self._ref_kdist[self._ref_knn], knn_dists)
         with np.errstate(divide="ignore"):
-            self._ref_lrd = 1.0 / reach.mean(axis=1)
+            self._ref_lrd = 1.0 / self._mean_reach(knn, knn_dists)
         self.had_degenerate_ = False
         return self
 
+    def _neighbours(self, dists: np.ndarray):
+        """Each row's k nearest reference points and its distances to them."""
+        knn = np.argsort(dists, axis=1, kind="stable")[:, : self.n_neighbors]
+        return knn, np.take_along_axis(dists, knn, axis=1)
+
+    def _mean_reach(self, knn: np.ndarray, knn_dists: np.ndarray) -> np.ndarray:
+        return np.maximum(self._ref_kdist[knn], knn_dists).mean(axis=1)
+
     def score_samples(self, X) -> np.ndarray:
+        """LOF per row; ``LOF_SENTINEL`` where duplicates make it undefined."""
         X = check_array(X)
-        k = self.n_neighbors
-        dists = _pairwise(X, self.reference_)
-        order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-        knn_dists = np.take_along_axis(dists, order, axis=1)
-        reach = np.maximum(self._ref_kdist[order], knn_dists)
-        mean_reach = reach.mean(axis=1)
-        neighbor_lrd = self._ref_lrd[order]
-        scores = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            if mean_reach[i] == 0.0 or not np.all(np.isfinite(neighbor_lrd[i])):
-                scores[i] = LOF_SENTINEL
-                self.had_degenerate_ = True
-            else:
-                scores[i] = neighbor_lrd[i].mean() * mean_reach[i]
+        knn, knn_dists = self._neighbours(_pairwise(X, self.reference_))
+        mean_reach = self._mean_reach(knn, knn_dists)
+        neighbor_lrd = self._ref_lrd[knn]
+        degenerate = (mean_reach == 0.0) | ~np.isfinite(neighbor_lrd).all(axis=1)
+        with np.errstate(invalid="ignore"):  # inf * 0 on degenerate rows
+            scores = neighbor_lrd.mean(axis=1) * mean_reach
+        scores[degenerate] = LOF_SENTINEL
+        self.had_degenerate_ |= bool(degenerate.any())
         return scores
 
 
@@ -192,35 +186,6 @@ class IsolationForest(BaseEstimator):
 # aggregate metrics ----------------------------------------------------------
 
 
-def _covered(results: list[CfResult]) -> list[CfResult]:
-    return [r for r in results if r.covered and np.all(np.isfinite(r.x_cf))]
-
-
-def coverage(results: list[CfResult]) -> float:
-    if not results:
-        raise ValueError("coverage of an empty request set is undefined")
-    return len(_covered(results)) / len(results)
-
-
-def validity(results: list[CfResult], clf) -> float:
-    covered = _covered(results)
-    if not covered:
-        return 0.0
-    X = np.stack([r.x_cf for r in covered])
-    preds = clf.predict(X)
-    targets = np.array([r.target for r in covered])
-    return float((preds == targets).mean())
-
-
-def prob_plausibility(results: list[CfResult], delta: DensityThreshold) -> float:
-    covered = _covered(results)
-    if not covered:
-        return 0.0
-    log_dens = np.array([r.log_density_at_cf for r in covered])
-    thresholds = delta.for_labels([r.target for r in covered])
-    return float((log_dens >= thresholds).mean())
-
-
 def evaluate(
     results: list[CfResult],
     clf,
@@ -230,29 +195,35 @@ def evaluate(
     reference_train,
     wall_time_secs: float | None = None,
 ) -> EvaluationReport:
-    """Assemble the full metric row for one generated batch."""
+    """Assemble the full metric row for one generated batch.
+
+    A row is covered when its search succeeded and its point is finite;
+    every metric but coverage is taken over the covered rows. The flow's
+    log-density at each covered point is written back into that result's
+    ``log_density_at_cf``, so methods without a density term (Wachter) get
+    one too, and plausibility compares those densities with ``delta``.
+    """
+    if not results:
+        raise ValueError("cannot evaluate an empty batch")
     x0_batch = check_array(x0_batch)
-    covered_idx = [
-        i for i, r in enumerate(results) if r.covered and np.all(np.isfinite(r.x_cf))
-    ]
-    cov = coverage(results)
-    if not covered_idx:
+    X_cf = np.stack([r.x_cf for r in results])
+    covered = np.array([r.covered for r in results], dtype=bool)
+    covered &= np.isfinite(X_cf).all(axis=1)
+    if not covered.any():
         return EvaluationReport(
-            coverage=cov, validity=0.0, prob_plausibility=0.0,
+            coverage=0.0, validity=0.0, prob_plausibility=0.0,
             l1_mean=None, l2_mean=None, log_density_mean=None,
             lof_mean=None, isoforest_mean=None,
             wall_time_secs=wall_time_secs or 0.0, n_instances=len(results),
         )
 
-    covered = [results[i] for i in covered_idx]
-    X_cf = np.stack([r.x_cf for r in covered])
-    targets = np.array([r.target for r in covered])
-    # refresh log densities so baseline methods without a density term get them
+    X_cf = X_cf[covered]
+    targets = np.array([r.target for r in results])[covered]
     log_dens = flow.score_samples(X_cf, targets)
-    for r, ld in zip(covered, log_dens):
-        r.log_density_at_cf = float(ld)
+    for i, ld in zip(np.flatnonzero(covered), log_dens):
+        results[i].log_density_at_cf = float(ld)
 
-    x0 = x0_batch[covered_idx]
+    x0 = x0_batch[covered]
     l1, _ = _distance_and_grad(x0, X_cf, "l1")
     l2, _ = _distance_and_grad(x0, X_cf, "l2")
 
@@ -264,9 +235,9 @@ def evaluate(
         wall_time_secs = max(r.wall_time_secs for r in results)
 
     return EvaluationReport(
-        coverage=cov,
-        validity=validity(results, clf),
-        prob_plausibility=prob_plausibility(results, delta),
+        coverage=float(covered.mean()),
+        validity=float((clf.predict(X_cf) == targets).mean()),
+        prob_plausibility=float((log_dens >= delta.for_labels(targets)).mean()),
         l1_mean=float(l1.mean()),
         l2_mean=float(l2.mean()),
         log_density_mean=float(log_dens.mean()),

@@ -8,7 +8,7 @@ import json
 import time
 import traceback
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,7 @@ __all__ = [
 
 METHODS = ("plausible", "wachter")
 TRAJECTORY_EVERY = 150  # steps between the points export_trajectory writes
+_REPORT_COLUMNS = [f.name for f in fields(EvaluationReport)]
 
 
 @dataclass
@@ -69,10 +70,9 @@ class RunConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.k_folds < 1:
             raise ValueError("k_folds must be >= 1")
-        try:
-            CfConfig(**self.cf)
-        except TypeError as err:  # an unknown key or a badly typed value
-            raise ValueError(f"cf {self.cf}: {err}") from err
+        _from_spec(f"cf {self.cf}", CfConfig, self.cf)
+        _estimator("classifier", self.classifier, self.seed)
+        _estimator("flow", self.flow, self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -100,41 +100,63 @@ class ExperimentRecord:
 
 
 def build_dataset(spec: dict, seed: int) -> Dataset:
-    spec = dict(spec)
-    name = spec.pop("name", None)
-    if name == "moons":
-        return make_moons(seed=seed, **spec)
-    if name == "blobs":
-        return make_blobs(seed=seed, **spec)
-    if name == "csv" or "path" in spec:
-        data, rejected = load_csv(spec["path"], spec["label_column"])
-        if rejected:
-            warnings.warn(f"{spec['path']}: rejected rows {rejected}", stacklevel=2)
-        return data
+    kwargs = dict(spec)
+    name = kwargs.pop("name", None)
+    try:
+        if name == "moons":
+            return make_moons(seed=seed, **kwargs)
+        if name == "blobs":
+            return make_blobs(seed=seed, **kwargs)
+        if name == "csv" or "path" in kwargs:
+            data, rejected = load_csv(**kwargs)
+            if rejected:
+                warnings.warn(f"{spec['path']}: rejected rows {rejected}", stacklevel=2)
+            return data
+    except TypeError as err:  # an unknown or missing key, or a badly typed value
+        raise ValueError(f"dataset {spec}: {err}") from err
     raise ValueError(f"unknown dataset spec: {spec}")
 
 
+_CLASSIFIERS = {"lr": LogisticRegression, "mlp": MlpClassifier}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+
+
+def _from_spec(what: str, cls, kwargs: dict, **fixed):
+    """``cls(**kwargs, **fixed)``, with a bad key or value as a ValueError."""
+    try:
+        return cls(**kwargs, **fixed)
+    except TypeError as err:  # an unknown key or a badly typed value
+        raise ValueError(f"{what}: {err}") from err
+
+
+def _estimator(what: str, spec: dict, seed: int):
+    """The unfitted classifier or flow that ``spec`` describes.
+
+    The keys ``TrainConfig`` takes set its training and the rest go to the
+    estimator's constructor, so each default lives in one place. The
+    training seed is always ``seed``, the run's.
+    """
+    label = f"{what} {spec}"
+    kwargs = dict(spec)
+    if "seed" in kwargs:
+        raise ValueError(f"{label}: 'seed' is not a setting; the run's seed is used")
+    cls = MaskedAutoregressiveFlow
+    if what == "classifier":
+        arch = kwargs.pop("arch", "lr")
+        if arch not in _CLASSIFIERS:
+            raise ValueError(f"unknown classifier arch {arch!r}")
+        cls = _CLASSIFIERS[arch]
+    train = {k: kwargs.pop(k) for k in list(kwargs) if k in _TRAIN_KEYS}
+    train_config = _from_spec(label, TrainConfig, train, seed=seed)
+    return _from_spec(label, cls, kwargs, train_config=train_config)
+
+
 def build_classifier(spec: dict, seed: int):
-    spec = dict(spec)
-    arch = spec.pop("arch", "lr")
-    hidden = spec.pop("hidden", 64)
-    cfg = TrainConfig(seed=seed, **spec)
-    if arch == "lr":
-        return LogisticRegression(train_config=cfg)
-    if arch == "mlp":
-        return MlpClassifier(hidden=hidden, train_config=cfg)
-    raise ValueError(f"unknown classifier arch {arch!r}")
+    return _estimator("classifier", spec, seed)
 
 
 def build_flow(spec: dict, seed: int) -> MaskedAutoregressiveFlow:
-    spec = dict(spec)
-    n_transforms = spec.pop("n_transforms", 5)
-    hidden = spec.pop("hidden", 64)
-    jitter = spec.pop("jitter", 0.02)
-    cfg = TrainConfig(seed=seed, **spec)
-    return MaskedAutoregressiveFlow(
-        n_transforms=n_transforms, hidden=hidden, jitter=jitter, train_config=cfg
-    )
+    return _estimator("flow", spec, seed)
 
 
 def select_targets(clf, X: np.ndarray) -> np.ndarray:
@@ -215,7 +237,7 @@ def _aggregate(reports: list[EvaluationReport]) -> dict:
     if not reports:
         return {}
     agg = {}
-    for col in EvaluationReport._COLUMNS:
+    for col in _REPORT_COLUMNS:
         values = [getattr(r, col) for r in reports]
         if any(v is None for v in values):
             agg[col] = {"mean": None, "std": None}
@@ -318,11 +340,10 @@ def ablate_loss(config: RunConfig) -> dict[str, ExperimentRecord]:
 def _write_sweep_csv(path, key_name, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([key_name] + [f"{c}_mean" for c in EvaluationReport._COLUMNS])
+        writer.writerow([key_name] + [f"{c}_mean" for c in _REPORT_COLUMNS])
         for key, record in rows:
             writer.writerow(
-                [key]
-                + [record.aggregate[c]["mean"] for c in EvaluationReport._COLUMNS]
+                [key] + [record.aggregate[c]["mean"] for c in _REPORT_COLUMNS]
             )
 
 
@@ -388,7 +409,7 @@ def export_trajectory(run_dir, instance_index: int, fold: int = 0,
     with open(fold_dir / "cfs.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if not 0 <= instance_index < len(rows):
-        raise IndexError(
+        raise ValueError(
             f"instance_index {instance_index} out of range [0, {len(rows)})"
         )
     row = rows[instance_index]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from flowcf.cli import build_parser, load_config, main
+from flowcf.pipeline import export_trajectory
 
 
 def _tiny_config(out_dir, **extra):
@@ -53,8 +54,42 @@ def test_parser_accepts_all_subcommands():
     parser = build_parser()
     for name in ("run", "ablate-lambda", "ablate-loss", "compare-density",
                  "export-trajectory"):
-        args = parser.parse_args([name, "--seed", "3"])
-        assert args.command == name and args.seed == 3
+        args = parser.parse_args([name, "--out", "somewhere"])
+        assert args.command == name and args.out == "somewhere"
+
+
+# each override flag, a value for it, and whether a loaded config shows it
+_OVERRIDE_EFFECTS = {
+    "--seed": ("7", lambda c: c.seed == 7),
+    "--out": ("elsewhere", lambda c: c.out == "elsewhere"),
+    "--method": ("wachter", lambda c: c.method == "wachter"),
+    "--lambda": ("3", lambda c: c.cf.get("lam") == 3.0),
+    "--dataset": ("blobs", lambda c: c.dataset == {"name": "blobs"}),
+}
+_OFFERED = {
+    "run": {"--seed", "--out", "--method", "--lambda", "--dataset"},
+    "ablate-lambda": {"--seed", "--out", "--method", "--dataset"},
+    "ablate-loss": {"--seed", "--out", "--method", "--lambda", "--dataset"},
+    "compare-density": {"--seed", "--out", "--dataset"},
+    "export-trajectory": {"--out"},
+}
+
+
+@pytest.mark.parametrize("command", list(_OFFERED))
+def test_subcommands_offer_only_the_flags_they_read(tmp_path, capsys, command):
+    cfg_path = _write_config(tmp_path, {"seed": 1})
+    base = load_config(build_parser().parse_args([command, "--config", cfg_path]))
+    assert base.seed == 1  # --config is read by every subcommand
+    for flag, (value, shows) in _OVERRIDE_EFFECTS.items():
+        argv = [command, "--config", cfg_path, flag, value]
+        if flag in _OFFERED[command]:
+            config = load_config(build_parser().parse_args(argv))
+            assert shows(config) and not shows(base), flag
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, flag
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_overrides_merge_into_config(tmp_path):
@@ -104,6 +139,50 @@ def test_bad_cf_settings_fail_when_the_config_loads(tmp_path, capsys, command, c
     assert not (tmp_path / "out").exists()  # rejected before any fold ran
 
 
+def _csv_without_label_key(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("f1,f2,label\n0.0,1.0,a\n1.0,0.0,b\n", encoding="utf-8")
+    return {"name": "csv", "path": str(data)}
+
+
+# (subcommand, config entries, text the error must show)
+_BAD_SPECS = {
+    "dataset-unknown-key": ("run", {"dataset": {"name": "moons", "bogus": 1}},
+                            "bogus"),
+    "dataset-bad-value": ("run", {"dataset": {"name": "moons", "n": "abc"}},
+                          "'abc'"),
+    "dataset-compare-density": (
+        "compare-density", {"dataset": {"name": "moons", "bogus": 1}}, "bogus"),
+    "csv-without-label-column": ("run", {"dataset": _csv_without_label_key},
+                                 "label_column"),
+    "classifier-unknown-key": (
+        "run", {"classifier": {"arch": "lr", "bogus": 1}}, "bogus"),
+    "classifier-unknown-arch": ("run", {"classifier": {"arch": "rf"}}, "'rf'"),
+    "classifier-key-lr-ignores": (
+        "run", {"classifier": {"arch": "lr", "hidden": 7}}, "hidden"),
+    "classifier-seed": ("run", {"classifier": {"arch": "mlp", "seed": 3}},
+                        "seed"),
+    "flow-unknown-key": ("run", {"flow": {"bogus": 1}}, "bogus"),
+    "flow-seed": ("run", {"flow": {"seed": 3}}, "seed"),
+    "flow-compare-density": ("compare-density", {"flow": {"bogus": 1}}, "bogus"),
+    "classifier-ablate-lambda": (
+        "ablate-lambda", {"classifier": {"arch": "lr", "bogus": 1}}, "bogus"),
+}
+
+
+@pytest.mark.parametrize("command,entries,shown", list(_BAD_SPECS.values()),
+                         ids=list(_BAD_SPECS))
+def test_bad_specs_fail_before_anything_trains(tmp_path, capsys, command,
+                                               entries, shown):
+    cfg = _tiny_config(tmp_path / "out")
+    for key, value in entries.items():
+        cfg[key] = value(tmp_path) if callable(value) else value
+    assert main([command, "--config", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and shown in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_export_trajectory_rejects_unknown_cf_keys(completed_run, tmp_path,
                                                    capsys):
     # a run saved by an older version can carry cf keys that no longer exist
@@ -132,9 +211,12 @@ def test_unparseable_csv_returns_4(tmp_path):
     assert main(["run", "--config", _write_config(tmp_path, cfg)]) == 4
 
 
-def test_all_folds_failing_returns_3(tmp_path):
-    cfg = _tiny_config(tmp_path / "out", classifier={"arch": "does-not-exist"})
+def test_all_folds_failing_returns_3(tmp_path, capsys):
+    # a valid spec whose training diverges, so every fold fails
+    cfg = _tiny_config(tmp_path / "out",
+                       classifier={"arch": "lr", "learning_rate": 1e307})
     assert main(["run", "--config", _write_config(tmp_path, cfg)]) == 3
+    assert "TrainingError" in capsys.readouterr().err
 
 
 def test_export_trajectory_without_run_dir_returns_2():
@@ -185,11 +267,15 @@ def test_export_trajectory_round_trip(completed_run, capsys):
     assert grid_rows[0][0] == "x0" and len(grid_rows) == 200 * 200 + 1
 
 
-def test_export_trajectory_bad_instance(completed_run):
-    assert (
-        main(["export-trajectory", "--run-dir", str(completed_run),
-              "--instance", "100000"]) == 2
-    )
+def test_export_trajectory_bad_instance(completed_run, capsys):
+    for instance in (100000, -1):
+        assert (
+            main(["export-trajectory", "--run-dir", str(completed_run),
+                  "--instance", str(instance)]) == 2
+        )
+        assert "out of range" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="out of range"):
+            export_trajectory(completed_run, instance)
 
 
 def test_compare_density_outputs_three_estimators(tmp_path, capsys):

@@ -12,10 +12,7 @@ from flowcf.metrics import (
     EvaluationReport,
     IsolationForest,
     LocalOutlierFactor,
-    coverage,
     evaluate,
-    prob_plausibility,
-    validity,
     _avg_path_correction,
 )
 from flowcf.models import LogisticRegression, TrainConfig
@@ -94,6 +91,29 @@ def test_lof_degenerate_duplicates_use_sentinel():
     assert lof.had_degenerate_
 
 
+def test_lof_mixes_sentinel_and_brute_force_rows_in_one_call():
+    rng = np.random.default_rng(5)
+    clusters = np.repeat(rng.normal(size=(3, 2)) + 50.0, 10, axis=0)  # duplicates
+    ref = np.vstack([clusters, rng.normal(size=(20, 2))])
+    normal = rng.normal(size=(4, 2))
+    # on a duplicate the mean reachability is 0; beside one it is not, but
+    # the neighbours' lrd is infinite
+    near = clusters[[20]] + 0.01
+    queries = np.vstack([clusters[[0]], normal[:2], near, normal[2:]])
+    degenerate = np.array([True, False, False, True, False, False])
+    k = 5
+    lof = LocalOutlierFactor(n_neighbors=k).fit(ref)
+    assert not lof.had_degenerate_
+    got = lof.score_samples(queries)
+    assert np.all(got[degenerate] == LOF_SENTINEL)
+    with np.errstate(divide="ignore"):  # the duplicates' lrd is 1 / 0
+        brute = _brute_lof(ref, normal, k)
+    assert np.allclose(got[~degenerate], brute, atol=1e-9)
+    assert lof.had_degenerate_
+    lof.score_samples(normal)  # the flag stays set until the next fit
+    assert lof.had_degenerate_
+
+
 def test_lof_neighbor_count_validation():
     with pytest.raises(ValueError):
         LocalOutlierFactor(n_neighbors=10).fit(np.zeros((5, 2)))
@@ -137,34 +157,63 @@ def test_isoforest_needs_two_points():
 # aggregate metrics --------------------------------------------------------
 
 
-def test_coverage_and_validity_counts():
-    results = [
-        _result([0.0, 0.0]),
-        _result([1.0, 1.0], covered=False),
-        _result([np.nan, 0.0]),  # non-finite counts as uncovered
-    ]
-    assert coverage(results) == pytest.approx(1 / 3)
-    with pytest.raises(ValueError):
-        coverage([])
-
-
-def test_prob_plausibility_threshold_comparison():
-    delta = DensityThreshold(log_delta=np.array([0.0, 1.0]))
-    results = [
-        _result([0.0, 0.0], target=1, logp=1.5),
-        _result([0.0, 0.0], target=1, logp=0.5),
-        _result([0.0, 0.0], target=0, logp=0.0),  # boundary counts as plausible
-    ]
-    assert prob_plausibility(results, delta) == pytest.approx(2 / 3)
-
-
-def test_evaluate_refreshes_density_and_serializes(tmp_path):
+@pytest.fixture(scope="module")
+def models():
+    """Two separated classes, a classifier and a standard-normal flow."""
     rng = np.random.default_rng(4)
     X = np.vstack([rng.normal(-2, 0.5, (60, 2)), rng.normal(2, 0.5, (60, 2))])
     y = np.array([0] * 60 + [1] * 60)
     clf = LogisticRegression(train_config=TrainConfig(seed=0, epochs=40)).fit(X, y)
     flow = MaskedAutoregressiveFlow(n_transforms=1, hidden=8)
     flow._build(2, 2, np.random.default_rng(0))  # standard normal density
+    return X, clf, flow
+
+
+def test_evaluate_counts_unflagged_and_non_finite_rows_as_uncovered(models):
+    X, clf, flow = models
+    delta = DensityThreshold(log_delta=np.array([-10.0, -10.0]))
+    x_cf = np.array([[2.0, 2.0], [1.5, 2.5], [2.0, 1.0]])
+    results = [
+        _result(x_cf[0], logp=np.nan),
+        _result(x_cf[1], target=0, covered=False, logp=np.nan),
+        _result([np.nan, 1.0], logp=np.nan),  # a non-finite point
+    ]
+    x0 = x_cf + np.array([[0.1], [0.3], [0.5]])
+    report = evaluate(results, clf, flow, delta, x0_batch=x0, reference_train=X)
+    assert report.coverage == pytest.approx(1 / 3)
+    # only the first row is scored: the second would be invalid, and each
+    # row's L1 distance differs
+    assert report.validity == 1.0
+    assert report.l1_mean == pytest.approx(0.2)
+    assert np.isfinite(results[0].log_density_at_cf)
+    assert np.isnan(results[1].log_density_at_cf)
+    assert np.isnan(results[2].log_density_at_cf)
+
+
+def test_evaluate_rejects_an_empty_batch(models):
+    X, clf, flow = models
+    delta = DensityThreshold(log_delta=np.zeros(2))
+    with pytest.raises(ValueError, match="empty"):
+        evaluate([], clf, flow, delta, x0_batch=np.zeros((0, 2)), reference_train=X)
+
+
+def test_evaluate_plausibility_includes_the_threshold(models):
+    X, clf, flow = models
+    x_cf = np.array([[2.0, 2.0], [1.5, 2.5], [2.0, 1.0], [2.0, 1.0]])
+    targets = np.array([1, 1, 1, 0])
+    logp = flow.score_samples(x_cf, targets)
+    # class 1's threshold is exactly the first point's density; the second
+    # point lies below it and the third above. Class 0's threshold is above
+    # every density, so the last point is judged against its own class.
+    assert logp[1] < logp[0] < logp[2] and logp.max() < 0.0
+    delta = DensityThreshold(log_delta=np.array([0.0, logp[0]]))
+    results = [_result(x, target=t) for x, t in zip(x_cf, targets)]
+    report = evaluate(results, clf, flow, delta, x0_batch=x_cf, reference_train=X)
+    assert report.prob_plausibility == 0.5
+
+
+def test_evaluate_refreshes_density_and_serializes(models, tmp_path):
+    X, clf, flow = models
     delta = DensityThreshold(log_delta=np.array([-10.0, -10.0]))
 
     x_cf = np.array([[2.0, 2.0], [1.5, 2.5]])
