@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import numbers
 
 import numpy as np
 
@@ -58,3 +59,9 @@ def check_X_y(X, y) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("y must contain integer class labels")
         y = y.astype(int)
     return X, y.astype(np.int64)
+
+
+def _check_count(name: str, value) -> None:
+    """ValueError unless ``value`` is an integer >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import BaseEstimator, check_array, check_X_y
+from .base import BaseEstimator, _check_count, check_array, check_X_y
 from .optim import AdamState, adam_step
 
 __all__ = ["TrainConfig", "TrainingError", "LogisticRegression", "MlpClassifier",
@@ -280,6 +280,7 @@ class MlpClassifier(_GradientClassifier):
     arch = "mlp"
 
     def __init__(self, hidden: int = 64, train_config: TrainConfig | None = None):
+        _check_count("hidden", hidden)
         super().__init__(train_config)
         self.hidden = hidden
 

@@ -1,4 +1,12 @@
-"""Fold-wise experiment orchestration: train, generate, evaluate, persist."""
+"""Fold-wise experiment orchestration: fit, search, evaluate, persist.
+
+``fit_fold`` scales a fold and trains its classifier, flow and density
+threshold; ``run_fold`` searches and evaluates one ``cf`` setting on those
+models and saves the fold's artifacts. ``run_experiment``, ``ablate_lambda``
+and ``ablate_loss`` share one fold loop, so a sweep over S settings and K
+folds trains K classifiers and K flows, not S * K. A fold that fails on bad
+data or numerics is recorded and the run goes on; any other error propagates.
+"""
 
 from __future__ import annotations
 
@@ -52,6 +60,9 @@ __all__ = [
 METHODS = ("plausible", "wachter")
 TRAJECTORY_EVERY = 150  # steps between the points export_trajectory writes
 _REPORT_COLUMNS = [f.name for f in fields(EvaluationReport)]
+# what bad data or numerics raise in a fold (TrainingError, FlowNumericsError,
+# DomainError, LinAlgError, GmmFitError); any other error is a bug and propagates
+_FOLD_ERRORS = (ArithmeticError, ValueError, RuntimeError)
 
 
 @dataclass
@@ -122,10 +133,10 @@ _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 def _from_spec(what: str, cls, kwargs: dict, **fixed):
-    """``cls(**kwargs, **fixed)``, with a bad key or value as a ValueError."""
+    """``cls(**kwargs, **fixed)``, with a bad key or value as a labelled ValueError."""
     try:
         return cls(**kwargs, **fixed)
-    except TypeError as err:  # an unknown key or a badly typed value
+    except (TypeError, ValueError) as err:  # an unknown key, a bad type or value
         raise ValueError(f"{what}: {err}") from err
 
 
@@ -187,23 +198,28 @@ def _write_cf_csv(path, x0, results, feature_names):
             )
 
 
-def run_fold(
-    data: Dataset,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
-    config: RunConfig,
-    fold_seed: int,
-    out_dir: Path | None = None,
-) -> EvaluationReport:
+def _scale(data: Dataset, train_idx, test_idx):
+    """The scaler fitted on the training rows, and both splits scaled by it."""
     scaler = MinMaxScaler().fit(data.features[train_idx])
-    X_train = scaler.transform(data.features[train_idx])
-    y_train = data.labels[train_idx]
-    X_test = scaler.transform(data.features[test_idx])
+    return (scaler, scaler.transform(data.features[train_idx]),
+            scaler.transform(data.features[test_idx]))
 
+
+def fit_fold(data: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
+             config: RunConfig, fold_seed: int) -> tuple:
+    """``(scaler, X_train, X_test, clf, flow, delta)`` for a fold; reads no ``cf``."""
+    scaler, X_train, X_test = _scale(data, train_idx, test_idx)
+    y_train = data.labels[train_idx]
     clf = build_classifier(config.classifier, fold_seed).fit(X_train, y_train)
     flow = build_flow(config.flow, fold_seed).fit(X_train, y_train)
     delta = compute_delta(flow, X_train, y_train)
+    return scaler, X_train, X_test, clf, flow, delta
 
+
+def run_fold(fitted: tuple, config: RunConfig, feature_names: list[str],
+             out_dir: Path | None = None) -> EvaluationReport:
+    """Search and evaluate ``config.cf`` on a fitted fold; save its artifacts."""
+    scaler, X_train, X_test, clf, flow, delta = fitted
     targets = select_targets(clf, X_test)
     cf_cfg = CfConfig(**config.cf)
 
@@ -228,7 +244,7 @@ def run_fold(
             json.dump(
                 {"min": scaler.min_.tolist(), "max": scaler.max_.tolist()}, fh
             )
-        _write_cf_csv(out_dir / "cfs.csv", X_test, results, data.feature_names)
+        _write_cf_csv(out_dir / "cfs.csv", X_test, results, feature_names)
         report.to_json(out_dir / "report.json")
     return report
 
@@ -263,88 +279,121 @@ def _splits(config: RunConfig) -> tuple[Dataset, list]:
     return data, [plan.train_test(i) for i in range(config.k_folds)]
 
 
-def run_experiment(config: RunConfig) -> ExperimentRecord:
-    """Full stratified-CV experiment; failed folds are recorded, not fatal."""
-    data, splits = _splits(config)
-    out_root = Path(config.out) if config.out else None
-    if out_root is not None:
-        out_root.mkdir(parents=True, exist_ok=True)
-        with open(out_root / "config.json", "w", encoding="utf-8") as fh:
-            json.dump(config.to_dict(), fh, indent=2)
+def _failure(fold: int, err: Exception) -> dict:
+    """A failed fold's record; call it in the ``except`` that caught ``err``."""
+    return {"fold": fold, "error": f"{type(err).__name__}: {err}",
+            "traceback": traceback.format_exc()}
 
-    reports: list[EvaluationReport] = []
-    fold_dicts: list[dict] = []
-    failures: list[dict] = []
+
+def _all_failed(config: RunConfig, record: ExperimentRecord, sweep: bool) -> str:
+    """``all folds failed``, then one ``fold k: Type: msg`` line per fold."""
+    head = "all folds failed"
+    if sweep:
+        head += f" for cf {config.cf}"
+    if config.out:
+        head += f" (tracebacks in {Path(config.out) / 'experiment.json'})"
+    return "\n".join([head] + [f"fold {f['fold']}: {f['error']}"
+                              for f in record.failed_folds])
+
+
+def _run(configs: list[RunConfig]) -> list[ExperimentRecord]:
+    """Experiments for configs that differ only in ``cf`` and ``out``.
+
+    Each fold is fitted once and searched once per config. A failed fit is
+    recorded in every config's record, a failed search in its own only.
+    """
+    data, splits = _splits(configs[0])
+    for config in configs:
+        if config.out:
+            Path(config.out).mkdir(parents=True, exist_ok=True)
+            with open(Path(config.out) / "config.json", "w", encoding="utf-8") as fh:
+                json.dump(config.to_dict(), fh, indent=2)
+
+    runs = [(config, [], []) for config in configs]  # config, reports, failures
     for fold, (train_idx, test_idx) in enumerate(splits):
-        fold_dir = out_root / f"fold_{fold}" if out_root else None
         try:
-            report = run_fold(
-                data, train_idx, test_idx, config, config.seed + fold, fold_dir
-            )
-        except Exception as err:  # fold isolation: record and continue
-            failures.append({
-                "fold": fold,
-                "error": f"{type(err).__name__}: {err}",
-                "traceback": traceback.format_exc(),
-            })
+            fitted = fit_fold(data, train_idx, test_idx, configs[0],
+                              configs[0].seed + fold)
+        except _FOLD_ERRORS as err:  # fold isolation: record and continue
+            for _, _, failures in runs:
+                failures.append(_failure(fold, err))
             continue
-        reports.append(report)
-        fold_dicts.append(report.to_dict())
+        for config, reports, failures in runs:
+            fold_dir = Path(config.out) / f"fold_{fold}" if config.out else None
+            try:
+                reports.append(run_fold(fitted, config, data.feature_names, fold_dir))
+            except _FOLD_ERRORS as err:  # fold isolation: record and continue
+                failures.append(_failure(fold, err))
 
-    if not reports:
-        raise RuntimeError(f"all folds failed: {failures}")
-
-    record = ExperimentRecord(
-        config=config.to_dict(),
-        config_hash=config.config_hash(),
-        version=__version__,
-        fold_reports=fold_dicts,
-        failed_folds=failures,
-        aggregate=_aggregate(reports),
-    )
-    if out_root is not None:
-        record.save(out_root / "experiment.json")
-    return record
-
-
-def ablate_lambda(config: RunConfig, lambdas) -> list[tuple[float, ExperimentRecord]]:
-    """Re-run the experiment per lambda with identical seeds and folds."""
-    rows = []
-    for lam in lambdas:
-        cfg_dict = config.to_dict()
-        cfg_dict["cf"] = dict(cfg_dict["cf"], lam=float(lam))
-        if config.out:
-            cfg_dict["out"] = str(Path(config.out) / f"lambda_{lam:g}")
-        rows.append((float(lam), run_experiment(RunConfig(**cfg_dict))))
-    if config.out:
-        _write_sweep_csv(Path(config.out) / "lambda_sweep.csv", "lambda", rows)
-    return rows
-
-
-def ablate_loss(config: RunConfig) -> dict[str, ExperimentRecord]:
-    """Paired hinge vs cross-entropy validity-loss runs on the same folds."""
-    records = {}
-    for loss in ("hinge", "cross_entropy"):
-        cfg_dict = config.to_dict()
-        cfg_dict["cf"] = dict(cfg_dict["cf"], validity_loss=loss)
-        if config.out:
-            cfg_dict["out"] = str(Path(config.out) / f"loss_{loss}")
-        records[loss] = run_experiment(RunConfig(**cfg_dict))
-    if config.out:
-        _write_sweep_csv(
-            Path(config.out) / "loss_ablation.csv", "loss", list(records.items())
+    records = []
+    for config, reports, failures in runs:
+        record = ExperimentRecord(
+            config=config.to_dict(),
+            config_hash=config.config_hash(),
+            version=__version__,
+            fold_reports=[report.to_dict() for report in reports],
+            failed_folds=failures,
+            aggregate=_aggregate(reports),
         )
+        if config.out:
+            record.save(Path(config.out) / "experiment.json")
+        records.append(record)
+    messages = [_all_failed(config, record, len(configs) > 1)
+                for config, record in zip(configs, records) if not record.fold_reports]
+    if messages:
+        raise RuntimeError("\n".join(messages))
     return records
 
 
-def _write_sweep_csv(path, key_name, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([key_name] + [f"{c}_mean" for c in _REPORT_COLUMNS])
-        for key, record in rows:
-            writer.writerow(
-                [key] + [record.aggregate[c]["mean"] for c in _REPORT_COLUMNS]
-            )
+def run_experiment(config: RunConfig) -> ExperimentRecord:
+    """Full stratified-CV experiment; failed folds are recorded, not fatal."""
+    return _run([config])[0]
+
+
+def _sweep(config: RunConfig, cf_key: str, column: str, csv_name: str,
+           settings: list[tuple[str, object]]) -> list[tuple[object, ExperimentRecord]]:
+    """``(value, record)`` per ``(label, value)`` of ``cf[cf_key]``, on shared folds.
+
+    Setting ``label`` writes to ``<out>/<column>_<label>``; ``<out>/<csv_name>``
+    gets one row of mean metrics per setting.
+    """
+    configs = []
+    for label, value in settings:
+        cfg_dict = config.to_dict()
+        cfg_dict["cf"] = dict(cfg_dict["cf"], **{cf_key: value})
+        if config.out:
+            cfg_dict["out"] = str(Path(config.out) / f"{column}_{label}")
+        configs.append(RunConfig(**cfg_dict))
+    rows = [(value, record) for (_, value), record in zip(settings, _run(configs))]
+    if config.out:
+        with open(Path(config.out) / csv_name, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([column] + [f"{c}_mean" for c in _REPORT_COLUMNS])
+            for value, record in rows:
+                writer.writerow(
+                    [value] + [record.aggregate[c]["mean"] for c in _REPORT_COLUMNS]
+                )
+    return rows
+
+
+def ablate_lambda(config: RunConfig, lambdas) -> list[tuple[float, ExperimentRecord]]:
+    """One record per lambda, each searched on the same fitted folds.
+
+    With ``out`` set, lambda ``v`` writes ``lambda_<v:g>/`` and the sweep's
+    mean metrics go to ``lambda_sweep.csv``.
+    """
+    return _sweep(config, "lam", "lambda", "lambda_sweep.csv",
+                  [(f"{lam:g}", float(lam)) for lam in lambdas])
+
+
+def ablate_loss(config: RunConfig) -> dict[str, ExperimentRecord]:
+    """Hinge vs cross-entropy validity loss, searched on the same fitted folds.
+
+    With ``out`` set, each loss writes ``loss_<name>/`` and the pair's mean
+    metrics go to ``loss_ablation.csv``.
+    """
+    return dict(_sweep(config, "validity_loss", "loss", "loss_ablation.csv",
+                       [(loss, loss) for loss in ("hinge", "cross_entropy")]))
 
 
 def compare_density(config: RunConfig) -> dict:
@@ -352,10 +401,8 @@ def compare_density(config: RunConfig) -> dict:
     data, splits = _splits(config)
     per_estimator: dict[str, list[float]] = {"maf": [], "kde": [], "gmm": []}
     for fold, (train_idx, test_idx) in enumerate(splits):
-        scaler = MinMaxScaler().fit(data.features[train_idx])
-        X_train = scaler.transform(data.features[train_idx])
+        _, X_train, X_test = _scale(data, train_idx, test_idx)
         y_train = data.labels[train_idx]
-        X_test = scaler.transform(data.features[test_idx])
         y_test = data.labels[test_idx]
         fold_seed = config.seed + fold
 

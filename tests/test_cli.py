@@ -167,6 +167,17 @@ _BAD_SPECS = {
     "flow-compare-density": ("compare-density", {"flow": {"bogus": 1}}, "bogus"),
     "classifier-ablate-lambda": (
         "ablate-lambda", {"classifier": {"arch": "lr", "bogus": 1}}, "bogus"),
+    "classifier-hidden-not-int": (
+        "run", {"classifier": {"arch": "mlp", "hidden": "abc"}},
+        "hidden must be an integer >= 1"),
+    "classifier-hidden-0": ("run", {"classifier": {"arch": "mlp", "hidden": 0}},
+                            "hidden must be an integer >= 1"),
+    "flow-no-transforms": ("run", {"flow": {"n_transforms": 0}},
+                           "n_transforms must be an integer >= 1"),
+    "flow-hidden-0": ("run", {"flow": {"hidden": 0}},
+                      "hidden must be an integer >= 1"),
+    "flow-negative-jitter": ("run", {"flow": {"jitter": -1}},
+                             "jitter must be a finite number >= 0"),
 }
 
 
@@ -216,7 +227,13 @@ def test_all_folds_failing_returns_3(tmp_path, capsys):
     cfg = _tiny_config(tmp_path / "out",
                        classifier={"arch": "lr", "learning_rate": 1e307})
     assert main(["run", "--config", _write_config(tmp_path, cfg)]) == 3
-    assert "TrainingError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "\nfold 0: TrainingError: " in err and "Traceback" not in err
+    saved = tmp_path / "out" / "experiment.json"
+    assert str(saved) in err  # the message names the saved record
+    [failure] = json.loads(saved.read_text())["failed_folds"]
+    assert failure["error"].startswith("TrainingError: ")
+    assert failure["traceback"].startswith("Traceback (most recent call last)")
 
 
 def test_export_trajectory_without_run_dir_returns_2():
@@ -300,6 +317,21 @@ def test_ablate_lambda_writes_sweep(tmp_path, capsys):
     assert len(rows) == 3 and rows[0][0] == "lambda"
     assert (out / "lambda_1" / "experiment.json").exists()
     assert (out / "lambda_100" / "experiment.json").exists()
+
+
+def test_ablate_loss_writes_both_settings(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, _tiny_config(out))
+    assert main(["ablate-loss", "--config", cfg_path]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(":")[0] for line in lines] == ["hinge", "cross_entropy"]
+    with open(out / "loss_ablation.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows] == ["loss", "hinge", "cross_entropy"]
+    for loss in ("hinge", "cross_entropy"):
+        record = json.loads((out / f"loss_{loss}" / "experiment.json").read_text())
+        assert record["config"]["cf"]["validity_loss"] == loss
+        assert (out / f"loss_{loss}" / "fold_0" / "cfs.csv").exists()
 
 
 def test_csv_dataset_end_to_end(tmp_path, capsys):

@@ -1,7 +1,13 @@
-"""Experiment plumbing: config handling, target selection, aggregation."""
+"""Experiment plumbing: config handling, target selection, aggregation, folds."""
+
+import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import flowcf.pipeline as pipeline
 
 from flowcf.data import make_blobs
 from flowcf.metrics import EvaluationReport
@@ -9,6 +15,8 @@ from flowcf.models import LogisticRegression, TrainConfig
 from flowcf.pipeline import (
     RunConfig,
     _aggregate,
+    ablate_lambda,
+    ablate_loss,
     build_classifier,
     build_dataset,
     build_flow,
@@ -92,64 +100,182 @@ def test_aggregate_mean_and_sample_std():
     assert agg["coverage"]["std"] is None
 
 
-def test_failed_fold_is_recorded_not_fatal(tmp_path, monkeypatch):
-    import flowcf.pipeline as pipeline
-
-    real_run_fold = pipeline.run_fold
-    calls = {"n": 0}
-
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise RuntimeError("synthetic fold failure")
-        return real_run_fold(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "run_fold", flaky)
-    config = RunConfig(
+def _tiny_config(**extra) -> RunConfig:
+    """Two quick folds: the config the fold-loop tests share."""
+    return RunConfig(**dict(
         dataset={"name": "moons", "n": 120},
         classifier={"arch": "lr", "epochs": 30},
         flow={"n_transforms": 1, "hidden": 16, "epochs": 10},
         cf={"max_iters": 100},
         k_folds=2,
         seed=0,
-    )
-    record = run_experiment(config)
+    ), **extra)
+
+
+def test_failed_fold_is_recorded_not_fatal(monkeypatch):
+    real_run_fold = pipeline.run_fold
+    calls = {"n": 0}
+
+    def flaky(fitted, config, feature_names, out_dir):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise RuntimeError("synthetic fold failure")
+        return real_run_fold(fitted, config, feature_names, out_dir)
+
+    monkeypatch.setattr(pipeline, "run_fold", flaky)
+    record = run_experiment(_tiny_config())
     assert len(record.failed_folds) == 1
     assert "synthetic fold failure" in record.failed_folds[0]["error"]
     assert len(record.fold_reports) == 1
 
 
 def test_failed_fold_keeps_its_traceback(monkeypatch):
-    import flowcf.pipeline as pipeline
-
     real_run_fold = pipeline.run_fold
+    calls = {"n": 0}
 
-    def raise_on_second_fold(data, train_idx, test_idx, config, fold_seed, out):
-        if fold_seed == config.seed + 1:
-            raise IndexError("synthetic index error")
-        return real_run_fold(data, train_idx, test_idx, config, fold_seed, out)
+    def raise_on_second_fold(fitted, config, feature_names, out_dir):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise ValueError("synthetic value error")
+        return real_run_fold(fitted, config, feature_names, out_dir)
 
     monkeypatch.setattr(pipeline, "run_fold", raise_on_second_fold)
-    config = RunConfig(
-        dataset={"name": "moons", "n": 120},
-        classifier={"arch": "lr", "epochs": 30},
-        flow={"n_transforms": 1, "hidden": 16, "epochs": 10},
-        cf={"max_iters": 100},
-        k_folds=2,
-        seed=0,
-    )
-    record = run_experiment(config)
+    record = run_experiment(_tiny_config())
     [failure] = record.failed_folds
     assert failure["fold"] == 1
-    assert failure["error"] == "IndexError: synthetic index error"
+    assert failure["error"] == "ValueError: synthetic value error"
     assert "in raise_on_second_fold" in failure["traceback"]
-    assert failure["traceback"].rstrip().endswith("IndexError: synthetic index error")
+    assert failure["traceback"].rstrip().endswith("ValueError: synthetic value error")
+
+
+@pytest.mark.parametrize("error", [IndexError, TypeError, KeyError, AttributeError])
+def test_programming_errors_in_a_fold_propagate(monkeypatch, error):
+    def buggy(fitted, config, feature_names, out_dir):
+        raise error("synthetic bug")
+
+    monkeypatch.setattr(pipeline, "run_fold", buggy)
+    with pytest.raises(error, match="synthetic bug"):
+        run_experiment(_tiny_config())
+
+
+def test_all_folds_failing_saves_the_record_then_raises(tmp_path, monkeypatch):
+    def broken(fitted, config, feature_names, out_dir):
+        raise ArithmeticError("synthetic failure")
+
+    monkeypatch.setattr(pipeline, "run_fold", broken)
+    with pytest.raises(RuntimeError) as exc:
+        run_experiment(_tiny_config(out=str(tmp_path)))
+    assert str(exc.value).splitlines() == [
+        f"all folds failed (tracebacks in {tmp_path / 'experiment.json'})",
+        "fold 0: ArithmeticError: synthetic failure",
+        "fold 1: ArithmeticError: synthetic failure",
+    ]
+    saved = json.loads((tmp_path / "experiment.json").read_text())
+    assert saved["fold_reports"] == [] and saved["aggregate"] == {}
+    assert [f["fold"] for f in saved["failed_folds"]] == [0, 1]
+    assert all("in broken" in f["traceback"] for f in saved["failed_folds"])
+
+
+_FOLD_ARTIFACTS = ("cfs.csv", "classifier.json", "flow.json", "delta.json",
+                   "scaler.json")
+
+
+def _without_wall_time(reports):
+    return [{k: v for k, v in r.items() if k != "wall_time_secs"} for r in reports]
+
+
+def test_sweep_settings_equal_separate_runs(tmp_path):
+    config = _tiny_config(out=str(tmp_path / "lambda"))
+    records = [record for _, record in ablate_lambda(config, [1, 100])]
+    loss_config = dataclasses.replace(config, out=str(tmp_path / "loss"))
+    records += list(ablate_loss(loss_config).values())
+    assert len(records) == 4
+    alone_dir = tmp_path / "alone"
+    for record in records:
+        alone = run_experiment(RunConfig(**dict(record.config, out=str(alone_dir))))
+        assert record.failed_folds == alone.failed_folds == []
+        assert (_without_wall_time(record.fold_reports)
+                == _without_wall_time(alone.fold_reports))
+        for fold in ("fold_0", "fold_1"):
+            for name in _FOLD_ARTIFACTS:
+                swept = Path(record.config["out"]) / fold / name
+                assert swept.read_bytes() == (alone_dir / fold / name).read_bytes()
+
+
+def test_sweep_fits_each_fold_once(monkeypatch):
+    calls = {"build_classifier": 0, "build_flow": 0}
+
+    def counting(name):
+        real = getattr(pipeline, name)
+
+        def build(spec, seed):
+            calls[name] += 1
+            return real(spec, seed)
+        return build
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    rows = ablate_lambda(_tiny_config(), [1, 10, 100])
+    assert [len(record.fold_reports) for _, record in rows] == [2, 2, 2]
+    assert calls == {"build_classifier": 2, "build_flow": 2}
+
+
+def test_sweep_failures_stay_where_they_happen(tmp_path, monkeypatch):
+    real_fit_fold, real_run_fold = pipeline.fit_fold, pipeline.run_fold
+
+    def fit_fails_in_fold_1(data, train_idx, test_idx, config, fold_seed):
+        if fold_seed == config.seed + 1:
+            raise ValueError("synthetic fit failure")
+        return real_fit_fold(data, train_idx, test_idx, config, fold_seed)
+
+    monkeypatch.setattr(pipeline, "fit_fold", fit_fails_in_fold_1)
+    for _, record in ablate_lambda(_tiny_config(), [1, 100]):
+        [failure] = record.failed_folds
+        assert failure["fold"] == 1
+        assert failure["error"] == "ValueError: synthetic fit failure"
+        assert len(record.fold_reports) == 1
+
+    def search_fails_at_lambda_100(fitted, config, feature_names, out_dir):
+        if config.cf["lam"] == 100 and out_dir.name == "fold_1":
+            raise FloatingPointError("synthetic search failure")
+        return real_run_fold(fitted, config, feature_names, out_dir)
+
+    monkeypatch.setattr(pipeline, "fit_fold", real_fit_fold)
+    monkeypatch.setattr(pipeline, "run_fold", search_fails_at_lambda_100)
+    rows = dict(ablate_lambda(_tiny_config(out=str(tmp_path)), [1, 100]))
+    assert rows[1.0].failed_folds == [] and len(rows[1.0].fold_reports) == 2
+    [failure] = rows[100.0].failed_folds
+    assert failure["fold"] == 1
+    assert failure["error"] == "FloatingPointError: synthetic search failure"
+    assert len(rows[100.0].fold_reports) == 1
+
+
+def test_sweep_saves_every_setting_before_naming_the_failed_one(tmp_path,
+                                                                monkeypatch):
+    real_run_fold = pipeline.run_fold
+
+    def fails_at_lambda_100(fitted, config, feature_names, out_dir):
+        if config.cf["lam"] == 100:
+            raise ValueError("synthetic failure")
+        return real_run_fold(fitted, config, feature_names, out_dir)
+
+    monkeypatch.setattr(pipeline, "run_fold", fails_at_lambda_100)
+    with pytest.raises(RuntimeError) as exc:
+        ablate_lambda(_tiny_config(out=str(tmp_path)), [1, 100])
+    saved = tmp_path / "lambda_100" / "experiment.json"
+    assert str(exc.value).splitlines() == [
+        f"all folds failed for cf {{'max_iters': 100, 'lam': 100.0}} "
+        f"(tracebacks in {saved})",
+        "fold 0: ValueError: synthetic failure",
+        "fold 1: ValueError: synthetic failure",
+    ]
+    assert len(json.loads(saved.read_text())["failed_folds"]) == 2
+    good = json.loads((tmp_path / "lambda_1" / "experiment.json").read_text())
+    assert len(good["fold_reports"]) == 2 and good["failed_folds"] == []
 
 
 def test_single_fold_means_one_split_everywhere(monkeypatch):
     # run_experiment and compare_density must hold out the same rows
-    import flowcf.pipeline as pipeline
-
     class Stop(Exception):
         pass
 
@@ -164,7 +290,7 @@ def test_single_fold_means_one_split_everywhere(monkeypatch):
 
     monkeypatch.setattr(pipeline, "MinMaxScaler", RecordingScaler)
     config = RunConfig(dataset={"name": "moons", "n": 120}, k_folds=1, seed=3)
-    with pytest.raises(RuntimeError, match="all folds failed"):
+    with pytest.raises(Stop):
         run_experiment(config)
     with pytest.raises(Stop):
         compare_density(config)
