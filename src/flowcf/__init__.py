@@ -50,6 +50,7 @@ from .metrics import (
     IsolationForest,
     LocalOutlierFactor,
     evaluate,
+    fit_detectors,
 )
 from .models import (
     LogisticRegression,
@@ -74,6 +75,7 @@ __all__ = [
     "generate", "wachter_generate", "plausibility_loss",
     "validity_loss_binary", "validity_loss_multiclass",
     "EvaluationReport", "LocalOutlierFactor", "IsolationForest", "evaluate",
+    "fit_detectors",
     "Dataset", "SplitPlan", "MinMaxScaler", "make_moons", "make_blobs",
     "load_csv", "CsvFormatError", "downsample_majority", "stratified_kfold",
 ]

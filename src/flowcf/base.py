@@ -11,7 +11,7 @@ __all__ = ["BaseEstimator", "check_array", "check_X_y"]
 
 
 class BaseEstimator:
-    """get_params/set_params over the constructor signature, sklearn-style."""
+    """get_params over the constructor signature, sklearn-style."""
 
     @classmethod
     def _param_names(cls):
@@ -24,14 +24,6 @@ class BaseEstimator:
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"invalid parameter {key!r} for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
@@ -65,3 +57,12 @@ def _check_count(name: str, value) -> None:
     """ValueError unless ``value`` is an integer >= 1 (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_number(name: str, value, *, positive: bool = False) -> None:
+    """ValueError unless ``value`` is a finite real, > 0 if ``positive`` else >= 0."""
+    finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and np.isfinite(value))
+    if not (finite and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import check_array, check_X_y
+from .base import _check_count, _check_number, check_array, check_X_y
 from .flows import MaskedAutoregressiveFlow
 from .models import _one_hot
 from .optim import AdamState, adam_step
@@ -63,8 +63,11 @@ class CfConfig:
     c_reg: float = 1.0  # distance weight of the Wachter-style baseline
 
     def __post_init__(self):
-        if self.lam <= 0 or self.epsilon <= 0 or self.max_iters < 1:
-            raise ValueError("require lam > 0, epsilon > 0, max_iters >= 1")
+        _check_count("max_iters", self.max_iters)
+        for name in ("lam", "epsilon", "learning_rate"):
+            _check_number(name, getattr(self, name), positive=True)
+        for name in ("convergence_tol", "c_reg"):
+            _check_number(name, getattr(self, name))
         if self.distance_kind not in ("l1", "l2"):
             raise ValueError("distance_kind must be 'l1' or 'l2'")
         if self.validity_loss not in ("hinge", "cross_entropy"):
@@ -81,7 +84,7 @@ class DensityThreshold:
         return self.log_delta[_check_labels(y, self.log_delta.shape[0])]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CfResult:
     x_cf: np.ndarray
     target: int

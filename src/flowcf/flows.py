@@ -14,14 +14,13 @@ share, and checks that gradient in the tests.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import BaseEstimator, _check_count, check_X_y, check_array
+from .base import BaseEstimator, _check_count, _check_number, check_X_y, check_array
 from .models import TrainConfig, TrainingError, _one_hot, _val_split, fit_adam
 
 __all__ = ["MadeTransform", "MaskedAutoregressiveFlow", "FlowNumericsError",
@@ -152,9 +151,7 @@ class MaskedAutoregressiveFlow(BaseEstimator):
                  train_config: TrainConfig | None = None):
         _check_count("n_transforms", n_transforms)
         _check_count("hidden", hidden)
-        finite = isinstance(jitter, numbers.Real) and np.isfinite(jitter)
-        if not (finite and jitter >= 0):
-            raise ValueError(f"jitter must be a finite number >= 0, got {jitter!r}")
+        _check_number("jitter", jitter)
         self.n_transforms = n_transforms
         self.hidden = hidden
         # std of the per-epoch Gaussian noise added to training features;

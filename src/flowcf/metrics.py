@@ -3,10 +3,11 @@
 ``evaluate`` selects the covered rows of a batch once (the search succeeded
 and the point is finite) and computes every other metric from the arrays
 they give: the counterfactual points, their targets and their flow
-log-densities. LOF and Isolation Forest are fitted on the training split
-(all classes) and score counterfactuals in novelty mode, so the numbers
-measure realism with respect to the data rather than the target class
-alone. L1/L2 costs use the same numpy distance helper as the
+log-densities, which it returns with the report and does not write into
+the results. ``fit_detectors`` fits LOF and Isolation Forest on the
+training split (all classes); they score counterfactuals in novelty mode,
+so the numbers measure realism with respect to the data rather than the
+target class alone. L1/L2 costs use the same numpy distance helper as the
 counterfactual search.
 """
 
@@ -24,6 +25,7 @@ __all__ = [
     "EvaluationReport",
     "LocalOutlierFactor",
     "IsolationForest",
+    "fit_detectors",
     "evaluate",
 ]
 
@@ -68,7 +70,6 @@ class LocalOutlierFactor(BaseEstimator):
         self._ref_kdist = knn_dists[:, -1]
         with np.errstate(divide="ignore"):
             self._ref_lrd = 1.0 / self._mean_reach(knn, knn_dists)
-        self.had_degenerate_ = False
         return self
 
     def _neighbours(self, dists: np.ndarray):
@@ -89,7 +90,6 @@ class LocalOutlierFactor(BaseEstimator):
         with np.errstate(invalid="ignore"):  # inf * 0 on degenerate rows
             scores = neighbor_lrd.mean(axis=1) * mean_reach
         scores[degenerate] = LOF_SENTINEL
-        self.had_degenerate_ |= bool(degenerate.any())
         return scores
 
 
@@ -186,22 +186,29 @@ class IsolationForest(BaseEstimator):
 # aggregate metrics ----------------------------------------------------------
 
 
+def fit_detectors(reference_train) -> tuple[LocalOutlierFactor, IsolationForest]:
+    """The ``(lof, forest)`` that ``evaluate`` scores counterfactuals with."""
+    # built through the module globals, which tracing tools may rebind
+    return (LocalOutlierFactor().fit(reference_train),
+            IsolationForest().fit(reference_train))
+
+
 def evaluate(
     results: list[CfResult],
     clf,
     flow,
     delta: DensityThreshold,
     x0_batch,
-    reference_train,
-    wall_time_secs: float | None = None,
-) -> EvaluationReport:
-    """Assemble the full metric row for one generated batch.
+    detectors: tuple[LocalOutlierFactor, IsolationForest],
+    wall_time_secs: float,
+) -> tuple[EvaluationReport, np.ndarray]:
+    """The full metric row for one generated batch, and each row's log-density.
 
     A row is covered when its search succeeded and its point is finite;
-    every metric but coverage is taken over the covered rows. The flow's
-    log-density at each covered point is written back into that result's
-    ``log_density_at_cf``, so methods without a density term (Wachter) get
-    one too, and plausibility compares those densities with ``delta``.
+    every metric but coverage is taken over the covered rows. The returned
+    densities are the flow's at each covered point and NaN elsewhere, so
+    methods without a density term (Wachter) get one too; plausibility
+    compares them with ``delta``. ``detectors`` comes from ``fit_detectors``.
     """
     if not results:
         raise ValueError("cannot evaluate an empty batch")
@@ -209,30 +216,24 @@ def evaluate(
     X_cf = np.stack([r.x_cf for r in results])
     covered = np.array([r.covered for r in results], dtype=bool)
     covered &= np.isfinite(X_cf).all(axis=1)
+    log_density = np.full(len(results), np.nan)
     if not covered.any():
         return EvaluationReport(
             coverage=0.0, validity=0.0, prob_plausibility=0.0,
             l1_mean=None, l2_mean=None, log_density_mean=None,
             lof_mean=None, isoforest_mean=None,
-            wall_time_secs=wall_time_secs or 0.0, n_instances=len(results),
-        )
+            wall_time_secs=float(wall_time_secs), n_instances=len(results),
+        ), log_density
 
     X_cf = X_cf[covered]
     targets = np.array([r.target for r in results])[covered]
     log_dens = flow.score_samples(X_cf, targets)
-    for i, ld in zip(np.flatnonzero(covered), log_dens):
-        results[i].log_density_at_cf = float(ld)
+    log_density[covered] = log_dens
 
     x0 = x0_batch[covered]
     l1, _ = _distance_and_grad(x0, X_cf, "l1")
     l2, _ = _distance_and_grad(x0, X_cf, "l2")
-
-    # built through the module globals, which tracing tools may rebind
-    lof_model = LocalOutlierFactor().fit(reference_train)
-    isoforest_model = IsolationForest().fit(reference_train)
-
-    if wall_time_secs is None:
-        wall_time_secs = max(r.wall_time_secs for r in results)
+    lof_model, isoforest_model = detectors
 
     return EvaluationReport(
         coverage=float(covered.mean()),
@@ -245,4 +246,4 @@ def evaluate(
         isoforest_mean=float(isoforest_model.score_samples(X_cf).mean()),
         wall_time_secs=float(wall_time_secs),
         n_instances=len(results),
-    )
+    ), log_density

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import BaseEstimator, _check_count, check_array, check_X_y
+from .base import BaseEstimator, _check_count, _check_number, check_array, check_X_y
 from .optim import AdamState, adam_step
 
 __all__ = ["TrainConfig", "TrainingError", "LogisticRegression", "MlpClassifier",
@@ -36,14 +36,12 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        _check_number("learning_rate", self.learning_rate, positive=True)
+        _check_number("weight_decay", self.weight_decay)
+        for name in ("epochs", "batch_size", "patience"):
+            _check_count(name, getattr(self, name))
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
 
 
 def _one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -241,10 +239,11 @@ class _GradientClassifier(BaseEstimator):
 
     @classmethod
     def from_dict(cls, payload: dict):
-        model = cls(train_config=TrainConfig(**payload["train_config"]))
-        if "hidden" in model.get_params():
+        kwargs = {"train_config": TrainConfig(**payload["train_config"])}
+        if "hidden" in cls._param_names():
             # the first layer's output width is the hidden width
-            model.set_params(hidden=payload["layer_shapes"][0][1])
+            kwargs["hidden"] = payload["layer_shapes"][0][1]
+        model = cls(**kwargs)
         model.n_features_ = payload["n_features"]
         model.n_classes_ = payload["n_classes"]
         model._init_params(

@@ -4,13 +4,15 @@
 threshold; ``run_fold`` searches and evaluates one ``cf`` setting on those
 models and saves the fold's artifacts. ``run_experiment``, ``ablate_lambda``
 and ``ablate_loss`` share one fold loop, so a sweep over S settings and K
-folds trains K classifiers and K flows, not S * K. A fold that fails on bad
-data or numerics is recorded and the run goes on; any other error propagates.
+folds trains K classifiers, K flows and K outlier-detector pairs, not S * K.
+A fold that fails on bad data or numerics is recorded and the run goes on;
+any other error propagates.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import time
@@ -44,7 +46,7 @@ from .data import (
 )
 from .density import GaussianMixtureDensity, KernelDensity
 from .flows import MaskedAutoregressiveFlow, load_flow
-from .metrics import EvaluationReport, IsolationForest, LocalOutlierFactor, evaluate
+from .metrics import EvaluationReport, evaluate, fit_detectors
 from .models import LogisticRegression, MlpClassifier, TrainConfig, load_classifier
 
 __all__ = [
@@ -181,7 +183,7 @@ def select_targets(clf, X: np.ndarray) -> np.ndarray:
     return masked.argmax(axis=1)
 
 
-def _write_cf_csv(path, x0, results, feature_names):
+def _write_cf_csv(path, x0, results, log_density, feature_names):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = (
@@ -190,11 +192,11 @@ def _write_cf_csv(path, x0, results, feature_names):
             + ["target", "log_density", "valid"]
         )
         writer.writerow(header)
-        for row0, r in zip(x0, results):
+        for row0, r, logp in zip(x0, results, log_density):
             writer.writerow(
                 list(row0)
                 + list(r.x_cf)
-                + [r.target, r.log_density_at_cf, int(r.covered)]
+                + [r.target, logp, int(r.covered)]
             )
 
 
@@ -207,19 +209,23 @@ def _scale(data: Dataset, train_idx, test_idx):
 
 def fit_fold(data: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
              config: RunConfig, fold_seed: int) -> tuple:
-    """``(scaler, X_train, X_test, clf, flow, delta)`` for a fold; reads no ``cf``."""
+    """``(scaler, X_train, X_test, clf, flow, delta, detectors)`` for a fold.
+
+    It reads no ``cf``; ``detectors()`` fits the outlier detectors on first call.
+    """
     scaler, X_train, X_test = _scale(data, train_idx, test_idx)
     y_train = data.labels[train_idx]
     clf = build_classifier(config.classifier, fold_seed).fit(X_train, y_train)
     flow = build_flow(config.flow, fold_seed).fit(X_train, y_train)
     delta = compute_delta(flow, X_train, y_train)
-    return scaler, X_train, X_test, clf, flow, delta
+    detectors = functools.cache(functools.partial(fit_detectors, X_train))
+    return scaler, X_train, X_test, clf, flow, delta, detectors
 
 
 def run_fold(fitted: tuple, config: RunConfig, feature_names: list[str],
              out_dir: Path | None = None) -> EvaluationReport:
     """Search and evaluate ``config.cf`` on a fitted fold; save its artifacts."""
-    scaler, X_train, X_test, clf, flow, delta = fitted
+    scaler, _, X_test, clf, flow, delta, detectors = fitted
     targets = select_targets(clf, X_test)
     cf_cfg = CfConfig(**config.cf)
 
@@ -230,8 +236,8 @@ def run_fold(fitted: tuple, config: RunConfig, feature_names: list[str],
         results = generate(X_test, targets, clf, flow, delta, cf_cfg)
     elapsed = time.perf_counter() - start
 
-    report = evaluate(
-        results, clf, flow, delta, X_test, X_train, wall_time_secs=elapsed
+    report, log_density = evaluate(
+        results, clf, flow, delta, X_test, detectors(), wall_time_secs=elapsed
     )
 
     if out_dir is not None:
@@ -244,7 +250,8 @@ def run_fold(fitted: tuple, config: RunConfig, feature_names: list[str],
             json.dump(
                 {"min": scaler.min_.tolist(), "max": scaler.max_.tolist()}, fh
             )
-        _write_cf_csv(out_dir / "cfs.csv", X_test, results, feature_names)
+        _write_cf_csv(out_dir / "cfs.csv", X_test, results, log_density,
+                      feature_names)
         report.to_json(out_dir / "report.json")
     return report
 
@@ -355,8 +362,15 @@ def _sweep(config: RunConfig, cf_key: str, column: str, csv_name: str,
     """``(value, record)`` per ``(label, value)`` of ``cf[cf_key]``, on shared folds.
 
     Setting ``label`` writes to ``<out>/<column>_<label>``; ``<out>/<csv_name>``
-    gets one row of mean metrics per setting.
+    gets one row of mean metrics per setting. Two settings with one label
+    would share a directory, so they are rejected before anything runs.
     """
+    seen = {}
+    for label, value in settings:
+        if label in seen:
+            raise ValueError(f"{column} settings {seen[label]!r} and {value!r} "
+                             f"share the directory {column}_{label}")
+        seen[label] = value
     configs = []
     for label, value in settings:
         cfg_dict = config.to_dict()

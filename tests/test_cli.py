@@ -178,6 +178,26 @@ _BAD_SPECS = {
                       "hidden must be an integer >= 1"),
     "flow-negative-jitter": ("run", {"flow": {"jitter": -1}},
                              "jitter must be a finite number >= 0"),
+    "cf-max-iters-not-int": ("run", {"cf": {"max_iters": 2.5}},
+                             "max_iters must be an integer >= 1"),
+    "classifier-epochs-not-int": (
+        "run", {"classifier": {"arch": "lr", "epochs": 2.5}},
+        "epochs must be an integer >= 1"),
+    "flow-patience-0": ("run", {"flow": {"patience": 0}},
+                        "patience must be an integer >= 1"),
+    "cf-negative-learning-rate": ("run", {"cf": {"learning_rate": -1}},
+                                  "learning_rate must be a finite number > 0"),
+    "cf-lam-nan": ("run", {"cf": {"lam": float("nan")}},
+                   "lam must be a finite number > 0"),
+    "cf-epsilon-0": ("ablate-loss", {"cf": {"epsilon": 0}},
+                     "epsilon must be a finite number > 0"),
+    "cf-negative-tol": ("run", {"cf": {"convergence_tol": -1e-7}},
+                        "convergence_tol must be a finite number >= 0"),
+    "cf-c-reg-inf": ("run", {"method": "wachter", "cf": {"c_reg": float("inf")}},
+                     "c_reg must be a finite number >= 0"),
+    "classifier-negative-weight-decay": (
+        "run", {"classifier": {"arch": "lr", "weight_decay": -1}},
+        "weight_decay must be a finite number >= 0"),
 }
 
 
@@ -317,6 +337,17 @@ def test_ablate_lambda_writes_sweep(tmp_path, capsys):
     assert len(rows) == 3 and rows[0][0] == "lambda"
     assert (out / "lambda_1" / "experiment.json").exists()
     assert (out / "lambda_100" / "experiment.json").exists()
+
+
+@pytest.mark.parametrize("lambdas,shared", [("1,1.0,2", "lambda_1"),
+                                            ("1.0000001,1", "lambda_1")])
+def test_ablate_lambda_rejects_settings_that_share_a_directory(
+        tmp_path, capsys, lambdas, shared):
+    cfg_path = _write_config(tmp_path, _tiny_config(tmp_path / "out"))
+    code = main(["ablate-lambda", "--config", cfg_path, "--lambdas", lambdas])
+    assert code == 2
+    assert shared in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any fold ran
 
 
 def test_ablate_loss_writes_both_settings(tmp_path, capsys):

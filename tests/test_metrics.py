@@ -1,5 +1,6 @@
 """Outlier scorers against brute-force references, plus the report plumbing."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from flowcf.metrics import (
     IsolationForest,
     LocalOutlierFactor,
     evaluate,
+    fit_detectors,
     _avg_path_correction,
 )
 from flowcf.models import LogisticRegression, TrainConfig
@@ -88,7 +90,6 @@ def test_lof_degenerate_duplicates_use_sentinel():
     lof = LocalOutlierFactor(n_neighbors=5).fit(ref)
     scores = lof.score_samples(np.zeros((1, 2)))
     assert scores[0] == LOF_SENTINEL
-    assert lof.had_degenerate_
 
 
 def test_lof_mixes_sentinel_and_brute_force_rows_in_one_call():
@@ -103,15 +104,14 @@ def test_lof_mixes_sentinel_and_brute_force_rows_in_one_call():
     degenerate = np.array([True, False, False, True, False, False])
     k = 5
     lof = LocalOutlierFactor(n_neighbors=k).fit(ref)
-    assert not lof.had_degenerate_
     got = lof.score_samples(queries)
     assert np.all(got[degenerate] == LOF_SENTINEL)
     with np.errstate(divide="ignore"):  # the duplicates' lrd is 1 / 0
         brute = _brute_lof(ref, normal, k)
     assert np.allclose(got[~degenerate], brute, atol=1e-9)
-    assert lof.had_degenerate_
-    lof.score_samples(normal)  # the flag stays set until the next fit
-    assert lof.had_degenerate_
+    # scoring keeps no state: earlier calls, degenerate or not, change nothing
+    assert np.array_equal(lof.score_samples(normal), got[~degenerate])
+    assert np.array_equal(lof.score_samples(queries), got)
 
 
 def test_lof_neighbor_count_validation():
@@ -166,11 +166,11 @@ def models():
     clf = LogisticRegression(train_config=TrainConfig(seed=0, epochs=40)).fit(X, y)
     flow = MaskedAutoregressiveFlow(n_transforms=1, hidden=8)
     flow._build(2, 2, np.random.default_rng(0))  # standard normal density
-    return X, clf, flow
+    return clf, flow, fit_detectors(X)
 
 
 def test_evaluate_counts_unflagged_and_non_finite_rows_as_uncovered(models):
-    X, clf, flow = models
+    clf, flow, detectors = models
     delta = DensityThreshold(log_delta=np.array([-10.0, -10.0]))
     x_cf = np.array([[2.0, 2.0], [1.5, 2.5], [2.0, 1.0]])
     results = [
@@ -179,26 +179,43 @@ def test_evaluate_counts_unflagged_and_non_finite_rows_as_uncovered(models):
         _result([np.nan, 1.0], logp=np.nan),  # a non-finite point
     ]
     x0 = x_cf + np.array([[0.1], [0.3], [0.5]])
-    report = evaluate(results, clf, flow, delta, x0_batch=x0, reference_train=X)
+    report, log_density = evaluate(results, clf, flow, delta, x0, detectors,
+                                   wall_time_secs=1.0)
     assert report.coverage == pytest.approx(1 / 3)
     # only the first row is scored: the second would be invalid, and each
     # row's L1 distance differs
     assert report.validity == 1.0
     assert report.l1_mean == pytest.approx(0.2)
-    assert np.isfinite(results[0].log_density_at_cf)
-    assert np.isnan(results[1].log_density_at_cf)
-    assert np.isnan(results[2].log_density_at_cf)
+    assert log_density.shape == (3,)
+    assert log_density[0] == flow.score_samples(x_cf[:1], np.array([1]))[0]
+    assert np.isnan(log_density[1]) and np.isnan(log_density[2])
+
+
+def test_evaluate_changes_nothing_it_is_handed(models):
+    clf, flow, detectors = models
+    delta = DensityThreshold(log_delta=np.array([-10.0, -10.0]))
+    x_cf = np.array([[2.0, 2.0], [1.5, 2.5]])
+    results = [_result(x_cf[0], logp=np.nan), _result(x_cf[1], logp=-1.0)]
+    before = [dataclasses.astuple(r) for r in results]
+    x0 = x_cf + 0.1
+    x0_before = x0.copy()
+    evaluate(results, clf, flow, delta, x0, detectors, wall_time_secs=1.0)
+    np.testing.assert_equal([dataclasses.astuple(r) for r in results], before)
+    assert np.array_equal(x0, x0_before)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        results[0].log_density_at_cf = 0.0
 
 
 def test_evaluate_rejects_an_empty_batch(models):
-    X, clf, flow = models
+    clf, flow, detectors = models
     delta = DensityThreshold(log_delta=np.zeros(2))
     with pytest.raises(ValueError, match="empty"):
-        evaluate([], clf, flow, delta, x0_batch=np.zeros((0, 2)), reference_train=X)
+        evaluate([], clf, flow, delta, np.zeros((0, 2)), detectors,
+                 wall_time_secs=0.0)
 
 
 def test_evaluate_plausibility_includes_the_threshold(models):
-    X, clf, flow = models
+    clf, flow, detectors = models
     x_cf = np.array([[2.0, 2.0], [1.5, 2.5], [2.0, 1.0], [2.0, 1.0]])
     targets = np.array([1, 1, 1, 0])
     logp = flow.score_samples(x_cf, targets)
@@ -208,24 +225,27 @@ def test_evaluate_plausibility_includes_the_threshold(models):
     assert logp[1] < logp[0] < logp[2] and logp.max() < 0.0
     delta = DensityThreshold(log_delta=np.array([0.0, logp[0]]))
     results = [_result(x, target=t) for x, t in zip(x_cf, targets)]
-    report = evaluate(results, clf, flow, delta, x0_batch=x_cf, reference_train=X)
+    report, _ = evaluate(results, clf, flow, delta, x_cf, detectors,
+                         wall_time_secs=1.0)
     assert report.prob_plausibility == 0.5
 
 
 def test_evaluate_refreshes_density_and_serializes(models, tmp_path):
-    X, clf, flow = models
+    clf, flow, detectors = models
     delta = DensityThreshold(log_delta=np.array([-10.0, -10.0]))
 
     x_cf = np.array([[2.0, 2.0], [1.5, 2.5]])
     results = [_result(x_cf[0], logp=np.nan), _result(x_cf[1], logp=np.nan)]
-    report = evaluate(results, clf, flow, delta, x0_batch=x_cf, reference_train=X)
+    report, log_density = evaluate(results, clf, flow, delta, x_cf, detectors,
+                                   wall_time_secs=1.5)
 
     expected_lp = -0.5 * (x_cf**2).sum(axis=1) - np.log(2 * np.pi)
     assert report.coverage == 1.0
     assert report.validity == 1.0
     assert report.log_density_mean == pytest.approx(expected_lp.mean())
-    assert results[0].log_density_at_cf == pytest.approx(expected_lp[0])
+    assert log_density == pytest.approx(expected_lp)
     assert report.l1_mean == pytest.approx(0.0, abs=1e-5)
+    assert report.wall_time_secs == 1.5
 
     jpath = tmp_path / "report.json"
     report.to_json(jpath)
@@ -239,9 +259,11 @@ def test_evaluate_with_no_covered_rows():
     flow._build(2, 2, np.random.default_rng(0))
     delta = DensityThreshold(log_delta=np.zeros(2))
     results = [_result([0.0, 0.0], covered=False)]
-    report = evaluate(
-        results, clf, flow, delta,
-        x0_batch=np.zeros((1, 2)), reference_train=np.zeros((30, 2)),
+    report, log_density = evaluate(
+        results, clf, flow, delta, np.zeros((1, 2)),
+        fit_detectors(np.zeros((30, 2))), wall_time_secs=0.5,
     )
     assert report.coverage == 0.0
     assert report.l1_mean is None and report.log_density_mean is None
+    assert report.wall_time_secs == 0.5
+    assert log_density.shape == (1,) and np.isnan(log_density[0])

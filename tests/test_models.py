@@ -176,12 +176,24 @@ def test_get_params_round_trip():
     clf = MlpClassifier(hidden=9)
     params = clf.get_params()
     assert params["hidden"] == 9
-    clf.set_params(hidden=11)
-    assert clf.hidden == 11
+    assert MlpClassifier(**params).get_params() == params
+
+
+def test_loading_checks_the_stored_hidden_width(moons_split):
+    Xtr, ytr, _, _ = moons_split
+    mlp = MlpClassifier(hidden=4, train_config=TrainConfig(seed=0, epochs=1))
+    payload = mlp.fit(Xtr, ytr).to_dict()
+    payload["layer_shapes"][0][1] = 0
+    with pytest.raises(ValueError, match="hidden must be an integer >= 1"):
+        MlpClassifier.from_dict(payload)
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(val_fraction=1.5)
+    for key, value in [
+        ("epochs", 0), ("epochs", 2.5), ("batch_size", 0), ("patience", True),
+        ("learning_rate", 0.0), ("learning_rate", float("nan")),
+        ("weight_decay", -1.0), ("weight_decay", float("inf")),
+        ("val_fraction", 1.5),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})

@@ -1,5 +1,6 @@
 """Experiment plumbing: config handling, target selection, aggregation, folds."""
 
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -7,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flowcf.metrics as metrics
 import flowcf.pipeline as pipeline
 
 from flowcf.data import make_blobs
+from flowcf.flows import load_flow
 from flowcf.metrics import EvaluationReport
 from flowcf.models import LogisticRegression, TrainConfig
 from flowcf.pipeline import (
@@ -202,6 +205,18 @@ def test_sweep_settings_equal_separate_runs(tmp_path):
                 assert swept.read_bytes() == (alone_dir / fold / name).read_bytes()
 
 
+def _log_detector_fits(monkeypatch, log: list) -> None:
+    """Append each detector class's name to ``log`` when one of them fits."""
+    for name in ("LocalOutlierFactor", "IsolationForest"):
+        real = getattr(metrics, name)
+
+        class Logged(real):
+            def fit(self, X, _name=name):
+                log.append(_name)
+                return super().fit(X)
+        monkeypatch.setattr(metrics, name, Logged)
+
+
 def test_sweep_fits_each_fold_once(monkeypatch):
     calls = {"build_classifier": 0, "build_flow": 0}
 
@@ -215,9 +230,43 @@ def test_sweep_fits_each_fold_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(pipeline, name, counting(name))
+    detector_fits = []
+    _log_detector_fits(monkeypatch, detector_fits)
     rows = ablate_lambda(_tiny_config(), [1, 10, 100])
     assert [len(record.fold_reports) for _, record in rows] == [2, 2, 2]
     assert calls == {"build_classifier": 2, "build_flow": 2}
+    assert sorted(detector_fits) == ["IsolationForest"] * 2 + ["LocalOutlierFactor"] * 2
+
+
+def test_a_single_run_fits_the_detectors_after_its_search(monkeypatch):
+    events = []
+    real_generate = pipeline.generate
+
+    def logged_generate(*args):
+        events.append("generate")
+        return real_generate(*args)
+
+    monkeypatch.setattr(pipeline, "generate", logged_generate)
+    _log_detector_fits(monkeypatch, events)
+    run_experiment(dataclasses.replace(_tiny_config(), k_folds=1))
+    assert events == ["generate", "LocalOutlierFactor", "IsolationForest"]
+
+
+def test_wachter_csv_holds_the_flow_density_of_covered_rows(tmp_path):
+    run_experiment(dataclasses.replace(_tiny_config(out=str(tmp_path)), k_folds=1,
+                                       method="wachter"))
+    fold_dir = tmp_path / "fold_0"
+    with open(fold_dir / "cfs.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    x_cf = np.array([[float(r[k]) for k in r if k.startswith("cf_")] for r in rows])
+    targets = np.array([int(r["target"]) for r in rows])
+    covered = np.array([r["valid"] == "1" for r in rows])
+    logp = np.array([float(r["log_density"]) for r in rows])
+    assert covered.any()
+    expected = load_flow(fold_dir / "flow.json").score_samples(
+        x_cf[covered], targets[covered])
+    assert np.array_equal(logp[covered], expected)
+    assert np.all(np.isnan(logp[~covered]))
 
 
 def test_sweep_failures_stay_where_they_happen(tmp_path, monkeypatch):
