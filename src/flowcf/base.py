@@ -53,10 +53,11 @@ def check_X_y(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y.astype(np.int64)
 
 
-def _check_count(name: str, value) -> None:
-    """ValueError unless ``value`` is an integer >= 1 (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_count(name: str, value, minimum: int = 1) -> None:
+    """ValueError unless ``value`` is an integer >= ``minimum`` (a bool is not one)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_number(name: str, value, *, positive: bool = False) -> None:

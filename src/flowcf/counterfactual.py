@@ -9,13 +9,14 @@ runs produce the same counterfactuals.
 
 One descent loop (``_search``) serves both the plausible objective and the
 Wachter baseline, and steps with ``optim.adam_step`` on the rows still
-active. The loop keeps no history: a caller that wants a row's path wraps
-the objective, which sees every iterate (see ``_search``). Each objective
-is evaluated with its input gradient in closed form with numpy, from the
-models' ``proba_and_input_vjp`` and ``log_prob_and_input_grad``; the
-models are only read. The tape-based loss functions below
-(``validity_loss_binary`` and friends) build the same objective on the
-autodiff graph, which the tests use as the reference.
+active. It reports where each row stopped and measures nothing at the
+answer; ``metrics.evaluate`` does that. The loop keeps no history: a caller
+that wants a row's path wraps the objective, which sees every iterate (see
+``_search``). Each objective is evaluated with its input gradient in closed
+form with numpy, from the models' ``proba_and_input_vjp`` and
+``log_prob_and_input_grad``; the models are only read. The tape-based loss
+functions below (``validity_loss_binary`` and friends) build the same
+objective on the autodiff graph, which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ class CfResult:
     target: int
     covered: bool
     iterations_used: int
-    distance_loss: float
-    validity_loss: float
-    plausibility_loss: float
-    log_density_at_cf: float
     wall_time_secs: float
 
 
@@ -225,7 +222,7 @@ def _plausible_objective(x0, targets, clf, flow, delta, cfg: CfConfig):
         grad = g_dist + cfg.lam * (clf_vjp(g_probs) - (gap > 0.0)[:, None] * g_logp)
         # cross-entropy never reaches zero, so feasibility reads the margin
         feasible = (margin <= 0.0) & (plaus <= 0.0)
-        return obj, grad, (dist, val, plaus, logp), feasible
+        return obj, grad, feasible
 
     return objective
 
@@ -241,8 +238,7 @@ def _wachter_objective(x0, targets, clf, cfg: CfConfig):
         )
         obj = ce + cfg.c_reg * dist
         grad = clf_vjp(g_probs) + cfg.c_reg * g_dist
-        stats = (dist, ce, np.zeros(idx.size), np.full(idx.size, np.nan))
-        return obj, grad, stats, None
+        return obj, grad, None
 
     return objective
 
@@ -252,11 +248,9 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
 
     ``objective(idx, x)`` takes row indices and the current points of those
     rows. It returns the per-row objective, its gradient with respect to x,
-    the per-row (distance, validity, plausibility, log-density) arrays as a
-    tuple, and a mask of the rows that meet every constraint, or None if it
-    has no constraints. It runs on the active rows' points once per
-    iteration, before their step, and on the returned points after the loop;
-    only that last call's stats are read, and results carry them.
+    and a mask of the rows that meet every constraint, or None if it has no
+    constraints. It runs once per iteration on the active rows, before their
+    step.
 
     A row stops once it is feasible (when the objective has constraints) and
     its objective moved by less than ``convergence_tol``. A row whose numbers
@@ -290,7 +284,7 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
             break
         idx = np.flatnonzero(active)
         with np.errstate(all="ignore"):
-            obj, grad, _, feasible = objective(idx, x[idx])
+            obj, grad, feasible = objective(idx, x[idx])
 
         finite = np.all(np.isfinite(grad), axis=1) & np.isfinite(obj)
         if not finite.all():
@@ -329,28 +323,16 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
     stop(leftover, cfg.max_iters)
     fallback = leftover[has_feasible[leftover]]
     x[fallback] = feasible_x[fallback]
-    stats = np.full((n, 4), np.nan)
-    scored = np.flatnonzero(covered)
-    with np.errstate(all="ignore"):
-        stats[scored] = np.column_stack(objective(scored, x[scored])[2])
-
-    results = []
-    for i in range(n):
-        dist, val, plaus, logp = stats[i]
-        results.append(
-            CfResult(
-                x_cf=x[i].copy(),
-                target=int(targets[i]),
-                covered=bool(covered[i]),
-                iterations_used=int(iterations[i]),
-                distance_loss=float(dist),
-                validity_loss=float(val),
-                plausibility_loss=float(plaus),
-                log_density_at_cf=float(logp),
-                wall_time_secs=float(stop_time[i]),
-            )
+    return [
+        CfResult(
+            x_cf=x[i].copy(),
+            target=int(targets[i]),
+            covered=bool(covered[i]),
+            iterations_used=int(iterations[i]),
+            wall_time_secs=float(stop_time[i]),
         )
-    return results
+        for i in range(n)
+    ]
 
 
 def _check_targets(targets, n_rows: int, n_classes: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .base import _check_count
 from .counterfactual import (
     CfConfig,
     DensityThreshold,
@@ -79,10 +80,16 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for name in ("dataset", "classifier", "flow", "cf"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(
+                    f"{name} must be a JSON object, got {getattr(self, name)!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.k_folds < 1:
-            raise ValueError("k_folds must be >= 1")
+        _check_count("k_folds", self.k_folds)
+        _check_count("seed", self.seed, minimum=0)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a string or null, got {self.out!r}")
         _from_spec(f"cf {self.cf}", CfConfig, self.cf)
         _estimator("classifier", self.classifier, self.seed)
         _estimator("flow", self.flow, self.seed)
@@ -363,8 +370,11 @@ def _sweep(config: RunConfig, cf_key: str, column: str, csv_name: str,
 
     Setting ``label`` writes to ``<out>/<column>_<label>``; ``<out>/<csv_name>``
     gets one row of mean metrics per setting. Two settings with one label
-    would share a directory, so they are rejected before anything runs.
+    would share a directory, so they are rejected before anything runs, and
+    so is a sweep with no settings.
     """
+    if not settings:
+        raise ValueError(f"the {column} sweep has no settings")
     seen = {}
     for label, value in settings:
         if label in seen:
@@ -527,9 +537,6 @@ def export_trajectory(run_dir, instance_index: int, fold: int = 0,
                 flow.score_samples(pts, np.full(len(pts), c))
                 for c in range(flow.n_classes_)
             ])
-            for i in range(len(pts)):
-                writer.writerow(
-                    list(pts[i]) + list(dens[i]) + list(probs[i])
-                )
+            writer.writerows(np.column_stack([pts, dens, probs]).tolist())
         paths["density_grid"] = str(grid_path)
     return paths

@@ -198,6 +198,19 @@ _BAD_SPECS = {
     "classifier-negative-weight-decay": (
         "run", {"classifier": {"arch": "lr", "weight_decay": -1}},
         "weight_decay must be a finite number >= 0"),
+    "k-folds-not-int": ("run", {"k_folds": 2.5}, "k_folds must be an integer >= 1"),
+    "k-folds-bool": ("run", {"k_folds": True}, "k_folds must be an integer >= 1"),
+    "k-folds-0": ("ablate-loss", {"k_folds": 0}, "k_folds must be an integer >= 1"),
+    "seed-negative": ("run", {"seed": -1}, "seed must be an integer >= 0"),
+    "seed-not-int": ("run", {"seed": 1.5}, "seed must be an integer >= 0"),
+    "seed-bool": ("compare-density", {"seed": True}, "seed must be an integer >= 0"),
+    "out-not-str": ("run", {"out": 5}, "out must be a string or null"),
+    "dataset-not-object": ("run", {"dataset": "moons"},
+                           "dataset must be a JSON object"),
+    "classifier-not-object": ("run", {"classifier": "lr"},
+                              "classifier must be a JSON object"),
+    "flow-not-object": ("run", {"flow": None}, "flow must be a JSON object"),
+    "cf-not-object": ("ablate-lambda", {"cf": [1]}, "cf must be a JSON object"),
 }
 
 
@@ -347,6 +360,15 @@ def test_ablate_lambda_rejects_settings_that_share_a_directory(
     code = main(["ablate-lambda", "--config", cfg_path, "--lambdas", lambdas])
     assert code == 2
     assert shared in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any fold ran
+
+
+@pytest.mark.parametrize("lambdas", ["", ","], ids=["empty", "comma"])
+def test_ablate_lambda_rejects_an_empty_sweep(tmp_path, capsys, lambdas):
+    cfg_path = _write_config(tmp_path, _tiny_config(tmp_path / "out"))
+    code = main(["ablate-lambda", "--config", cfg_path, "--lambdas", lambdas])
+    assert code == 2
+    assert "no settings" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # rejected before any fold ran
 
 

@@ -14,6 +14,7 @@ from flowcf.counterfactual import (
     CfConfig,
     DensityThreshold,
     _plausible_objective,
+    _search,
     _validity_and_grad,
     _wachter_objective,
     compute_delta,
@@ -409,38 +410,33 @@ def test_wachter_flips_class_without_density_term(setup):
     )
     xcf = np.array([r.x_cf for r in res])
     assert np.array_equal(clf.predict(xcf), targets)
-    assert all(np.isnan(r.log_density_at_cf) for r in res)
 
 
-@pytest.mark.parametrize("wachter", [False, True], ids=["plausible", "wachter"])
-def test_result_losses_describe_the_returned_point(setup, wachter):
-    # max_iters=5 leaves most rows at the cap, where the last Adam step
-    # moved x_cf after the objective was last evaluated
+@pytest.mark.parametrize("at_cap", [False, True], ids=["converged", "at-cap"])
+def test_search_calls_the_objective_once_per_iteration(setup, at_cap):
+    # a row that stops after k steps was evaluated at its k + 1 iterates;
+    # a row at the cap was evaluated before each of its max_iters steps
     X, y, clf, flow, delta = setup
-    x0 = X[:20]
-    targets = 1 - clf.predict(x0)
-    cfg = CfConfig(max_iters=5, learning_rate=0.05)
-    if wachter:
-        results = wachter_generate(x0, targets, clf, cfg)
+    if at_cap:
+        x0, targets = X[:1], 1 - clf.predict(X[:1])
+        cfg = CfConfig(max_iters=5)
     else:
-        results = generate(x0, targets, clf, flow, delta, cfg)
-    assert sum(r.iterations_used == cfg.max_iters for r in results) >= 10
-    x_cf = np.stack([r.x_cf for r in results])
-    dist = np.sqrt(((x_cf - x0) ** 2).sum(axis=1) + 1e-12)
-    probs = clf.predict_proba(x_cf)
-    logp = flow.score_samples(x_cf, targets)
-    field = lambda name: np.array([getattr(r, name) for r in results])
-    assert np.allclose(field("distance_loss"), dist, rtol=1e-12, atol=0)
-    if wachter:
-        validity = -np.log(probs[np.arange(20), targets])
-        plausibility = np.zeros(20)
-        assert np.all(np.isnan(field("log_density_at_cf")))
+        x0, targets = _feasible_starts(setup, n=1)
+        cfg = CfConfig(max_iters=50)
+    objective = _plausible_objective(x0, targets, clf, flow, delta, cfg)
+    calls = []
+
+    def counting(idx, x):
+        calls.append(idx.size)
+        return objective(idx, x)
+
+    r = _search(x0, targets, counting, cfg)[0]
+    assert r.covered
+    if at_cap:
+        assert r.iterations_used == cfg.max_iters == len(calls)
     else:
-        validity = np.maximum(0.5 + cfg.epsilon - probs[np.arange(20), targets], 0)
-        plausibility = np.maximum(delta.for_labels(targets) - logp, 0)
-        assert np.allclose(field("log_density_at_cf"), logp, rtol=1e-12, atol=0)
-    assert np.allclose(field("validity_loss"), validity, rtol=1e-12, atol=1e-15)
-    assert np.allclose(field("plausibility_loss"), plausibility, rtol=1e-12, atol=1e-15)
+        assert r.iterations_used < cfg.max_iters
+        assert len(calls) == r.iterations_used + 1
 
 
 def test_search_leaves_frozen_models_untouched(setup):
@@ -557,7 +553,7 @@ def _tape_objective(clf, flow, delta, x0, targets, cfg, wachter):
 
 
 def _fused_against_tape(objective, tape_f, x):
-    obj, grad, _, _ = objective(np.arange(x.shape[0]), x)
+    obj, grad, _ = objective(np.arange(x.shape[0]), x)
     xt = Tensor(x.copy(), requires_grad=True)
     tape_obj = tape_f(xt)
     ad.tsum(tape_obj).backward()
@@ -601,12 +597,16 @@ def test_fused_objective_gradient_matches_tape(
     assert np.any(np.abs(log_scale) < LOG_SCALE_BOUND)
     pre1 = np.concatenate([x, ctx], axis=1) @ (tr.params[0] * tr.masks[0])
     assert np.any(pre1 + tr.params[1] > 0) and np.any(pre1 + tr.params[1] < 0)
-    objective = _plausible_objective(x0, targets, clf, flow, delta, cfg)
-    _, _, (_, val, plaus, _), _ = objective(np.arange(len(x0)), x0)
+    # the hinges at x0, from the pieces the objective is built from
+    probs, _ = clf.proba_and_input_vjp(x0)
+    val, _, _ = _validity_and_grad(probs, targets, validity_loss, cfg.epsilon)
+    logp, _ = flow.log_prob_and_input_grad(x0, targets)
+    plaus = np.maximum(delta.for_labels(targets) - logp, 0.0)
     if validity_loss == "hinge":
         assert np.any(val > 0) and np.any(val == 0)
     assert np.any(plaus > 0) and np.any(plaus == 0)
 
+    objective = _plausible_objective(x0, targets, clf, flow, delta, cfg)
     tape_f = _tape_objective(clf, flow, delta, x0, targets, cfg, wachter=False)
     assert _fused_against_tape(objective, tape_f, x) <= 1e-10
 

@@ -20,16 +20,12 @@ from flowcf.metrics import (
 from flowcf.models import LogisticRegression, TrainConfig
 
 
-def _result(x, target=1, covered=True, logp=0.0):
+def _result(x, target=1, covered=True):
     return CfResult(
         x_cf=np.asarray(x, dtype=float),
         target=target,
         covered=covered,
         iterations_used=10,
-        distance_loss=0.0,
-        validity_loss=0.0,
-        plausibility_loss=0.0,
-        log_density_at_cf=logp,
         wall_time_secs=0.1,
     )
 
@@ -174,9 +170,9 @@ def test_evaluate_counts_unflagged_and_non_finite_rows_as_uncovered(models):
     delta = DensityThreshold(log_delta=np.array([-10.0, -10.0]))
     x_cf = np.array([[2.0, 2.0], [1.5, 2.5], [2.0, 1.0]])
     results = [
-        _result(x_cf[0], logp=np.nan),
-        _result(x_cf[1], target=0, covered=False, logp=np.nan),
-        _result([np.nan, 1.0], logp=np.nan),  # a non-finite point
+        _result(x_cf[0]),
+        _result(x_cf[1], target=0, covered=False),
+        _result([np.nan, 1.0]),  # a non-finite point
     ]
     x0 = x_cf + np.array([[0.1], [0.3], [0.5]])
     report, log_density = evaluate(results, clf, flow, delta, x0, detectors,
@@ -195,7 +191,7 @@ def test_evaluate_changes_nothing_it_is_handed(models):
     clf, flow, detectors = models
     delta = DensityThreshold(log_delta=np.array([-10.0, -10.0]))
     x_cf = np.array([[2.0, 2.0], [1.5, 2.5]])
-    results = [_result(x_cf[0], logp=np.nan), _result(x_cf[1], logp=-1.0)]
+    results = [_result(x_cf[0]), _result(x_cf[1])]
     before = [dataclasses.astuple(r) for r in results]
     x0 = x_cf + 0.1
     x0_before = x0.copy()
@@ -203,7 +199,7 @@ def test_evaluate_changes_nothing_it_is_handed(models):
     np.testing.assert_equal([dataclasses.astuple(r) for r in results], before)
     assert np.array_equal(x0, x0_before)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        results[0].log_density_at_cf = 0.0
+        results[0].covered = False
 
 
 def test_evaluate_rejects_an_empty_batch(models):
@@ -235,7 +231,7 @@ def test_evaluate_refreshes_density_and_serializes(models, tmp_path):
     delta = DensityThreshold(log_delta=np.array([-10.0, -10.0]))
 
     x_cf = np.array([[2.0, 2.0], [1.5, 2.5]])
-    results = [_result(x_cf[0], logp=np.nan), _result(x_cf[1], logp=np.nan)]
+    results = [_result(x_cf[0]), _result(x_cf[1])]
     report, log_density = evaluate(results, clf, flow, delta, x_cf, detectors,
                                    wall_time_secs=1.5)
 

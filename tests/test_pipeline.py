@@ -299,6 +299,13 @@ def test_sweep_failures_stay_where_they_happen(tmp_path, monkeypatch):
     assert len(rows[100.0].fold_reports) == 1
 
 
+def test_an_empty_sweep_is_rejected_before_anything_runs(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="no settings"):
+        ablate_lambda(_tiny_config(out=str(out)), [])
+    assert not out.exists()
+
+
 def test_sweep_saves_every_setting_before_naming_the_failed_one(tmp_path,
                                                                 monkeypatch):
     real_run_fold = pipeline.run_fold
