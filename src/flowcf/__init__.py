@@ -14,7 +14,7 @@ from .autodiff import (
     Tensor,
     finite_difference_check,
 )
-from .base import BaseEstimator, check_array, check_X_y
+from .base import BaseEstimator, check_array, check_labels, check_X_y
 from .counterfactual import (
     CfConfig,
     CfResult,
@@ -65,7 +65,7 @@ __all__ = [
     "__version__",
     "Tensor", "DimensionError", "DomainError",
     "finite_difference_check",
-    "BaseEstimator", "check_array", "check_X_y",
+    "BaseEstimator", "check_array", "check_labels", "check_X_y",
     "AdamState", "adam_step",
     "TrainConfig", "LogisticRegression", "MlpClassifier", "load_classifier",
     "MadeTransform", "MaskedAutoregressiveFlow", "FlowNumericsError",

@@ -12,6 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .base import DimensionError, DomainError
+
 __all__ = [
     "Tensor",
     "DimensionError",
@@ -36,14 +38,6 @@ __all__ = [
     "row_max",
     "concatenate",
 ]
-
-
-class DimensionError(ValueError):
-    """Raised when operand shapes do not conform to a primitive's rule."""
-
-
-class DomainError(ValueError):
-    """Raised when a primitive is evaluated outside its numeric domain."""
 
 
 class Tensor:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import _check_count, _check_number, check_array, check_X_y
+from .base import _check_count, _check_number, check_array, check_labels, check_X_y
 from .flows import MaskedAutoregressiveFlow
 from .models import _one_hot
 from .optim import AdamState, adam_step
@@ -82,7 +82,7 @@ class DensityThreshold:
     log_delta: np.ndarray
 
     def for_labels(self, y) -> np.ndarray:
-        return self.log_delta[_check_labels(y, self.log_delta.shape[0])]
+        return self.log_delta[check_labels(y, self.log_delta.shape[0])]
 
 
 @dataclass(frozen=True)
@@ -94,22 +94,10 @@ class CfResult:
     wall_time_secs: float
 
 
-def _check_labels(y, n_classes: int, name: str = "labels") -> np.ndarray:
-    """1-d int64 class indices; ValueError unless each lies in [0, n_classes)."""
-    y = np.asarray(y)
-    if y.ndim != 1:
-        raise ValueError(f"{name} must be 1-d; got shape {y.shape}")
-    if y.size and not np.issubdtype(y.dtype, np.integer):
-        raise ValueError(f"{name} must be integer class indices, got {y.dtype}")
-    if y.size and (y.min() < 0 or y.max() >= n_classes):
-        raise ValueError(f"{name} must lie in [0, {n_classes})")
-    return y.astype(np.int64)
-
-
 def compute_delta(flow: MaskedAutoregressiveFlow, X, y) -> DensityThreshold:
     """Per-class median of training log-densities under the flow."""
     X, y = check_X_y(X, y)
-    y = _check_labels(y, flow.n_classes_)
+    y = check_labels(y, flow.n_classes_)
     log_delta = np.empty(flow.n_classes_)
     for c in range(flow.n_classes_):
         mask = y == c
@@ -335,21 +323,10 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
     ]
 
 
-def _check_targets(targets, n_rows: int, n_classes: int) -> np.ndarray:
-    """Targets as int64; ValueError unless one class index per row."""
-    t = _check_labels(targets, n_classes, "targets")
-    if t.shape[0] != n_rows:
-        raise ValueError(
-            f"targets must have one entry per row of x0_batch ({n_rows}); "
-            f"got {t.shape[0]}"
-        )
-    return t
-
-
 def generate(x0_batch, targets, clf, flow, delta, cfg: CfConfig) -> list[CfResult]:
     """Counterfactuals under the distance + lambda * (validity + plausibility) objective."""
-    x0 = check_array(x0_batch)
-    targets = _check_targets(targets, x0.shape[0], clf.n_classes_)
+    x0 = check_array(x0_batch, n_features=clf.n_features_)
+    targets = check_labels(targets, clf.n_classes_, x0.shape[0], "targets")
     return _search(
         x0, targets, _plausible_objective(x0, targets, clf, flow, delta, cfg), cfg
     )
@@ -357,6 +334,6 @@ def generate(x0_batch, targets, clf, flow, delta, cfg: CfConfig) -> list[CfResul
 
 def wachter_generate(x0_batch, targets, clf, cfg: CfConfig) -> list[CfResult]:
     """Baseline: cross-entropy to the target plus c_reg-weighted distance."""
-    x0 = check_array(x0_batch)
-    targets = _check_targets(targets, x0.shape[0], clf.n_classes_)
+    x0 = check_array(x0_batch, n_features=clf.n_features_)
+    targets = check_labels(targets, clf.n_classes_, x0.shape[0], "targets")
     return _search(x0, targets, _wachter_objective(x0, targets, clf, cfg), cfg)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import BaseEstimator, check_array
+from .base import BaseEstimator, check_array, check_labels
 
 __all__ = [
     "Dataset",
@@ -31,10 +31,8 @@ class Dataset:
     feature_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features and labels disagree on sample count")
+        self.features = check_array(self.features, name="features")
+        self.labels = check_labels(self.labels, self.n_classes, self.n_samples)
         if not self.feature_names:
             self.feature_names = [f"x{i}" for i in range(self.features.shape[1])]
 
@@ -90,11 +88,11 @@ class MinMaxScaler(BaseEstimator):
         return self
 
     def transform(self, X) -> np.ndarray:
-        X = check_array(X)
+        X = check_array(X, n_features=self.min_.shape[0])
         return (X - self.min_) / self.scale_
 
     def inverse_transform(self, X) -> np.ndarray:
-        X = check_array(X)
+        X = check_array(X, n_features=self.min_.shape[0])
         return X * self.scale_ + self.min_
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, check_X_y, check_array
+from .base import (BaseEstimator, _check_count, _check_number, _sq_distance_blocks,
+                   check_array, check_labels, check_X_y)
 
 __all__ = ["GaussianMixtureDensity", "KernelDensity", "GmmFitError"]
 
@@ -43,6 +44,9 @@ class GaussianMixtureDensity(BaseEstimator):
 
     def __init__(self, n_components: int = 1, seed: int = 0,
                  max_iter: int = 200, tol: float = 1e-6):
+        _check_count("n_components", n_components)
+        _check_count("max_iter", max_iter)
+        _check_number("tol", tol)
         self.n_components = n_components
         self.seed = seed
         self.max_iter = max_iter
@@ -50,6 +54,7 @@ class GaussianMixtureDensity(BaseEstimator):
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
+        self.n_features_ = X.shape[1]
         self.n_classes_ = int(y.max()) + 1
         rng = np.random.default_rng(self.seed)
         self.weights_, self.means_, self.covs_ = [], [], []
@@ -99,8 +104,8 @@ class GaussianMixtureDensity(BaseEstimator):
 
     def score_samples(self, X, y) -> np.ndarray:
         """Log of the max weighted component density for each row's class."""
-        X = check_array(X)
-        y = np.asarray(y, dtype=np.int64)
+        X = check_array(X, n_features=self.n_features_)
+        y = check_labels(y, self.n_classes_, X.shape[0])
         out = np.empty(X.shape[0])
         for c in np.unique(y):
             mask = y == c
@@ -118,17 +123,18 @@ class KernelDensity(BaseEstimator):
     """Per-class Gaussian KDE with a scalar Scott's-rule bandwidth."""
 
     def __init__(self, bandwidth: float | None = None):
+        if bandwidth is not None:
+            _check_number("bandwidth", bandwidth, positive=True)
         self.bandwidth = bandwidth
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
+        self.n_features_ = X.shape[1]
         self.n_classes_ = int(y.max()) + 1
         self.points_ = []
         self.bandwidths_ = []
         for c in range(self.n_classes_):
             Xc = X[y == c]
-            if Xc.shape[0] == 0:
-                raise ValueError(f"class {c} has no samples")
             self.points_.append(Xc)
             if self.bandwidth is not None:
                 h = float(self.bandwidth)
@@ -137,21 +143,21 @@ class KernelDensity(BaseEstimator):
                 stds = Xc.std(axis=0, ddof=1)
                 stds = np.where(stds > 0, stds, 1e-6)
                 h = float(n ** (-1.0 / (d + 4)) * np.exp(np.log(stds).mean()))
-            if h <= 0:
-                raise ValueError("bandwidth must be positive")
             self.bandwidths_.append(h)
         return self
 
     def score_samples(self, X, y) -> np.ndarray:
-        X = check_array(X)
-        y = np.asarray(y, dtype=np.int64)
+        X = check_array(X, n_features=self.n_features_)
+        y = check_labels(y, self.n_classes_, X.shape[0])
         out = np.empty(X.shape[0])
         for c in np.unique(y):
             mask = y == c
             pts = self.points_[c]
             h = self.bandwidths_[c]
             d = pts.shape[1]
-            sq = ((X[mask][:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            log_kernels = -0.5 * sq / h**2 - d * np.log(h * np.sqrt(2.0 * np.pi))
-            out[mask] = _logsumexp(log_kernels, axis=1) - np.log(pts.shape[0])
+            scores = np.empty(np.count_nonzero(mask))
+            for rows, sq in _sq_distance_blocks(X[mask], pts):
+                log_kernels = -0.5 * sq / h**2 - d * np.log(h * np.sqrt(2.0 * np.pi))
+                scores[rows] = _logsumexp(log_kernels, axis=1) - np.log(pts.shape[0])
+            out[mask] = scores
         return out

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import BaseEstimator, _check_count, _check_number, check_X_y, check_array
+from .base import (BaseEstimator, _check_count, _check_number, check_array,
+                   check_labels, check_X_y)
 from .models import TrainConfig, TrainingError, _one_hot, _val_split, fit_adam
 
 __all__ = ["MadeTransform", "MaskedAutoregressiveFlow", "FlowNumericsError",
@@ -176,16 +177,13 @@ class MaskedAutoregressiveFlow(BaseEstimator):
             for k in range(self.n_transforms)
         ]
 
-    def _context(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.int64)
-        if np.any((y < 0) | (y >= self.n_classes_)):
-            raise ValueError(f"labels must lie in [0, {self.n_classes_})")
-        return _one_hot(y, self.n_classes_)
+    def _context(self, y, n_rows: int) -> np.ndarray:
+        return _one_hot(check_labels(y, self.n_classes_, n_rows), self.n_classes_)
 
     # density ------------------------------------------------------------
     def log_prob_tensor(self, x: Tensor, y) -> Tensor:
         """Differentiable per-row conditional log-density."""
-        context = self._context(y)
+        context = self._context(y, x.shape[0])
         z = x
         total_log_scale = None
         for k, tr in enumerate(self.transforms_):
@@ -204,7 +202,7 @@ class MaskedAutoregressiveFlow(BaseEstimator):
 
     def _inverse_stack(self, X: np.ndarray, y):
         """Latent of every row, the summed log-scales, and each transform's VJP."""
-        context = self._context(y)
+        context = self._context(y, X.shape[0])
         z = X
         total = np.zeros(X.shape[0])
         vjps = []
@@ -218,7 +216,7 @@ class MaskedAutoregressiveFlow(BaseEstimator):
         return -0.5 * (z**2).sum(axis=1) - self.d_ * _HALF_LOG_2PI
 
     def score_samples(self, X, y) -> np.ndarray:
-        z, total, _ = self._inverse_stack(check_array(X), y)
+        z, total, _ = self._inverse_stack(check_array(X, n_features=self.d_), y)
         if not np.all(np.isfinite(z)):
             raise FlowNumericsError("non-finite latent")
         return self._base_log_prob(z) - total
@@ -241,13 +239,13 @@ class MaskedAutoregressiveFlow(BaseEstimator):
 
     def inverse(self, X, y):
         """Data -> latent; returns (z, log|det dz/dx|) per row."""
-        z, total, _ = self._inverse_stack(check_array(X), y)
+        z, total, _ = self._inverse_stack(check_array(X, n_features=self.d_), y)
         return z, -total
 
     def forward(self, Z, y):
         """Latent -> data through the stack in generative order."""
-        Z = check_array(Z)
-        context = self._context(y)
+        Z = check_array(Z, n_features=self.d_)
+        context = self._context(y, Z.shape[0])
         x = Z
         total = np.zeros(Z.shape[0])
         for tr in reversed(self.transforms_):
@@ -256,11 +254,11 @@ class MaskedAutoregressiveFlow(BaseEstimator):
         return x, total
 
     def sample(self, y, n_samples: int | None = None, seed: int = 0) -> np.ndarray:
-        y = np.asarray(y, dtype=np.int64)
+        y = np.asarray(y)
         if y.ndim == 0:
             if n_samples is None or n_samples < 1:
                 raise ValueError("n_samples must be >= 1 for a scalar label")
-            y = np.full(n_samples, int(y))
+            y = np.full(n_samples, y)
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((y.shape[0], self.d_))
         x, _ = self.forward(z, y)
@@ -269,12 +267,12 @@ class MaskedAutoregressiveFlow(BaseEstimator):
     # training -----------------------------------------------------------
     def fit(self, X, y):
         X, y = check_X_y(X, y)
-        classes, counts = np.unique(y, return_counts=True)
+        counts = np.bincount(y)
         if np.any(counts < 2):
             raise ValueError("every class needs at least 2 samples")
         cfg = self._cfg
         rng = np.random.default_rng(cfg.seed)
-        self._build(X.shape[1], int(classes.max()) + 1, rng)
+        self._build(X.shape[1], counts.size, rng)
         (Xtr, ytr), (Xval, yval) = _val_split(X, y, cfg.val_fraction, rng)
         fit_adam(
             [p for tr in self.transforms_ for p in tr.params],

@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .base import BaseEstimator, check_array
+from .base import BaseEstimator, _check_count, _sq_distance_blocks, check_array
 from .counterfactual import CfResult, DensityThreshold, _distance_and_grad
 
 __all__ = [
@@ -57,33 +57,46 @@ class LocalOutlierFactor(BaseEstimator):
     """Novelty-mode LOF against a fixed reference set."""
 
     def __init__(self, n_neighbors: int = 20):
+        _check_count("n_neighbors", n_neighbors)
         self.n_neighbors = n_neighbors
 
     def fit(self, X):
         X = check_array(X)
-        if not 1 <= self.n_neighbors < X.shape[0]:
-            raise ValueError("need 1 <= n_neighbors < len(reference)")
+        if self.n_neighbors >= X.shape[0]:
+            raise ValueError("need n_neighbors < len(reference)")
         self.reference_ = X
-        dists = _pairwise(X, X)
-        np.fill_diagonal(dists, np.inf)
-        knn, knn_dists = self._neighbours(dists)
+        knn, knn_dists = self._neighbours(X, exclude_self=True)
         self._ref_kdist = knn_dists[:, -1]
         with np.errstate(divide="ignore"):
             self._ref_lrd = 1.0 / self._mean_reach(knn, knn_dists)
         return self
 
-    def _neighbours(self, dists: np.ndarray):
-        """Each row's k nearest reference points and its distances to them."""
-        knn = np.argsort(dists, axis=1, kind="stable")[:, : self.n_neighbors]
-        return knn, np.take_along_axis(dists, knn, axis=1)
+    def _neighbours(self, X: np.ndarray, exclude_self: bool = False):
+        """Each row's k nearest reference points and its distances to them.
+
+        With ``exclude_self``, X is the reference set and no row is its own
+        neighbour. Each block's sort is copied down to its first k columns,
+        so no block outlives its turn of the loop.
+        """
+        n, k = X.shape[0], self.n_neighbors
+        knn = np.empty((n, k), dtype=np.intp)
+        knn_dists = np.empty((n, k))
+        for rows, sq in _sq_distance_blocks(X, self.reference_):
+            dists = np.sqrt(np.maximum(sq, 0.0))
+            if exclude_self:
+                i = np.arange(dists.shape[0])
+                dists[i, rows.start + i] = np.inf
+            knn[rows] = np.argsort(dists, axis=1, kind="stable")[:, :k]
+            knn_dists[rows] = np.take_along_axis(dists, knn[rows], axis=1)
+        return knn, knn_dists
 
     def _mean_reach(self, knn: np.ndarray, knn_dists: np.ndarray) -> np.ndarray:
         return np.maximum(self._ref_kdist[knn], knn_dists).mean(axis=1)
 
     def score_samples(self, X) -> np.ndarray:
         """LOF per row; ``LOF_SENTINEL`` where duplicates make it undefined."""
-        X = check_array(X)
-        knn, knn_dists = self._neighbours(_pairwise(X, self.reference_))
+        X = check_array(X, n_features=self.reference_.shape[1])
+        knn, knn_dists = self._neighbours(X)
         mean_reach = self._mean_reach(knn, knn_dists)
         neighbor_lrd = self._ref_lrd[knn]
         degenerate = (mean_reach == 0.0) | ~np.isfinite(neighbor_lrd).all(axis=1)
@@ -91,11 +104,6 @@ class LocalOutlierFactor(BaseEstimator):
             scores = neighbor_lrd.mean(axis=1) * mean_reach
         scores[degenerate] = LOF_SENTINEL
         return scores
-
-
-def _pairwise(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-    return np.sqrt(np.maximum(sq, 0.0))
 
 
 _EULER_GAMMA = 0.5772156649015329
@@ -128,6 +136,8 @@ class IsolationForest(BaseEstimator):
     """
 
     def __init__(self, n_trees: int = 100, subsample: int = 256, seed: int = 0):
+        _check_count("n_trees", n_trees)
+        _check_count("subsample", subsample, minimum=2)
         self.n_trees = n_trees
         self.subsample = subsample
         self.seed = seed
@@ -136,6 +146,7 @@ class IsolationForest(BaseEstimator):
         X = check_array(X)
         if X.shape[0] < 2:
             raise ValueError("need at least 2 reference points")
+        self.n_features_ = X.shape[1]
         rng = np.random.default_rng(self.seed)
         psi = min(self.subsample, X.shape[0])
         self._psi = psi
@@ -174,7 +185,7 @@ class IsolationForest(BaseEstimator):
         return depth + _avg_path_correction(node.size)
 
     def score_samples(self, X) -> np.ndarray:
-        X = check_array(X)
+        X = check_array(X, n_features=self.n_features_)
         c = _avg_path_correction(self._psi)
         scores = np.empty(X.shape[0])
         for i, x in enumerate(X):
@@ -212,8 +223,11 @@ def evaluate(
     """
     if not results:
         raise ValueError("cannot evaluate an empty batch")
-    x0_batch = check_array(x0_batch)
     X_cf = np.stack([r.x_cf for r in results])
+    x0_batch = check_array(x0_batch, n_features=X_cf.shape[1])
+    if x0_batch.shape[0] != len(results):
+        raise ValueError(f"x0_batch must have one row per result ({len(results)}); "
+                         f"got {x0_batch.shape[0]}")
     covered = np.array([r.covered for r in results], dtype=bool)
     covered &= np.isfinite(X_cf).all(axis=1)
     log_density = np.full(len(results), np.nan)

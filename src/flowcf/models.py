@@ -18,7 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import BaseEstimator, _check_count, _check_number, check_array, check_X_y
+from .base import (BaseEstimator, _check_count, _check_number, check_array,
+                   check_labels, check_X_y)
 from .optim import AdamState, adam_step
 
 __all__ = ["TrainConfig", "TrainingError", "LogisticRegression", "MlpClassifier",
@@ -152,15 +153,12 @@ class _GradientClassifier(BaseEstimator):
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
-        classes = np.unique(y)
-        if classes.size < 2:
+        if y.max() < 1:
             raise ValueError("training data must contain at least two classes")
-        if classes.min() < 0 or classes.max() >= classes.size:
-            raise ValueError("labels must be contiguous integers starting at 0")
         cfg = self._cfg
         rng = np.random.default_rng(cfg.seed)
         self.n_features_ = X.shape[1]
-        self.n_classes_ = int(classes.size)
+        self.n_classes_ = int(y.max()) + 1
         self._init_params(self.n_features_, self.n_classes_, rng)
         (Xtr, ytr), (Xval, yval) = _val_split(X, y, cfg.val_fraction, rng)
         fit_adam(
@@ -183,14 +181,7 @@ class _GradientClassifier(BaseEstimator):
             nll = nll + Tensor(0.5 * weight_decay) * penalty
         return nll
 
-    def _check_width(self, width: int) -> None:
-        if width != self.n_features_:
-            raise ad.DimensionError(
-                f"expected {self.n_features_} features, got {width}"
-            )
-
     def predict_proba_tensor(self, x: Tensor) -> Tensor:
-        self._check_width(x.shape[-1])
         return ad.softmax(self._logits(x))
 
     def proba_and_input_vjp(self, X: np.ndarray):
@@ -200,7 +191,6 @@ class _GradientClassifier(BaseEstimator):
         (n, n_features) cotangent on ``X``. Rows never interact, and no
         parameter gradient is computed or stored.
         """
-        self._check_width(X.shape[-1])
         logits, logits_vjp = self._logits_and_vjp(X)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
@@ -212,13 +202,15 @@ class _GradientClassifier(BaseEstimator):
         return probs, vjp
 
     def predict_proba(self, X) -> np.ndarray:
-        return self.proba_and_input_vjp(check_array(X))[0]
+        X = check_array(X, n_features=self.n_features_)
+        return self.proba_and_input_vjp(X)[0]
 
     def predict(self, X) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=1)
 
     def score(self, X, y) -> float:
-        X, y = check_X_y(X, y)
+        X = check_array(X, n_features=self.n_features_)
+        y = check_labels(y, self.n_classes_, X.shape[0], "y")
         return float((self.predict(X) == y).mean())
 
     # persistence --------------------------------------------------------

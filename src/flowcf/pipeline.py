@@ -48,7 +48,7 @@ from .data import (
 from .density import GaussianMixtureDensity, KernelDensity
 from .flows import MaskedAutoregressiveFlow, load_flow
 from .metrics import EvaluationReport, evaluate, fit_detectors
-from .models import LogisticRegression, MlpClassifier, TrainConfig, load_classifier
+from .models import _ARCHS, TrainConfig, load_classifier
 
 __all__ = [
     "RunConfig",
@@ -137,7 +137,6 @@ def build_dataset(spec: dict, seed: int) -> Dataset:
     raise ValueError(f"unknown dataset spec: {spec}")
 
 
-_CLASSIFIERS = {"lr": LogisticRegression, "mlp": MlpClassifier}
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
@@ -163,9 +162,9 @@ def _estimator(what: str, spec: dict, seed: int):
     cls = MaskedAutoregressiveFlow
     if what == "classifier":
         arch = kwargs.pop("arch", "lr")
-        if arch not in _CLASSIFIERS:
+        if arch not in _ARCHS:
             raise ValueError(f"unknown classifier arch {arch!r}")
-        cls = _CLASSIFIERS[arch]
+        cls = _ARCHS[arch]
     train = {k: kwargs.pop(k) for k in list(kwargs) if k in _TRAIN_KEYS}
     train_config = _from_spec(label, TrainConfig, train, seed=seed)
     return _from_spec(label, cls, kwargs, train_config=train_config)

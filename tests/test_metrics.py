@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flowcf import base
 from flowcf.counterfactual import CfResult, DensityThreshold
+from flowcf.density import KernelDensity
 from flowcf.flows import MaskedAutoregressiveFlow
 from flowcf.metrics import (
     LOF_SENTINEL,
@@ -113,6 +117,40 @@ def test_lof_mixes_sentinel_and_brute_force_rows_in_one_call():
 def test_lof_neighbor_count_validation():
     with pytest.raises(ValueError):
         LocalOutlierFactor(n_neighbors=10).fit(np.zeros((5, 2)))
+
+
+def _block_scores(ref, y_ref, queries, y_queries):
+    lof = LocalOutlierFactor(n_neighbors=5).fit(ref)
+    kde = KernelDensity().fit(ref, y_ref)
+    return (lof._ref_kdist, lof._ref_lrd, lof.score_samples(queries),
+            kde.score_samples(queries, y_queries))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 40 * 37 * 3 * 8), st.integers(0, 2**32 - 1))
+def test_distance_blocks_leave_lof_and_kde_bit_identical(block_bytes, seed):
+    # 37 reference rows and 23 queries, both prime, so most block heights
+    # leave a short last block; the default block holds each table whole
+    rng = np.random.default_rng(seed)
+    args = (rng.normal(size=(37, 3)), np.arange(37) % 2,
+            rng.normal(size=(23, 3)), np.arange(23) % 2)
+    whole = _block_scores(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(base, "_BLOCK_BYTES", block_bytes)
+        blocked = _block_scores(*args)
+    for a, b in zip(whole, blocked):
+        assert np.array_equal(a, b)
+
+
+def test_lof_fit_memory_stays_bounded():
+    X = np.random.default_rng(0).normal(size=(2000, 2))
+    tracemalloc.start()
+    try:
+        LocalOutlierFactor().fit(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # Isolation forest ---------------------------------------------------------
