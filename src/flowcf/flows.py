@@ -6,9 +6,11 @@ context; coordinate orderings are reversed between consecutive transforms.
 The density direction (data -> latent) needs a single masked pass. Its numpy
 form also returns the closed-form input gradient of the log-density
 (``log_prob_and_input_grad``), which is what the counterfactual search
-consumes; the graph form on the autodiff tape (``log_prob_tensor``) trains
-the flow, through the training loop ``models.fit_adam`` that the classifiers
-share, and checks that gradient in the tests.
+consumes, and the closed-form parameter gradients of the mean negative
+log-density (``_loss_and_grads``), on which the flow trains through the
+training loop ``models.fit_adam`` that the classifiers share. The graph form
+on the autodiff tape (``log_prob_tensor``) is the reference: the tests check
+both gradients against it, the parameter gradients bit for bit.
 """
 
 from __future__ import annotations
@@ -91,44 +93,84 @@ class MadeTransform:
         return z, ad.tsum(log_scale, axis=1)
 
     # numpy path ---------------------------------------------------------
-    def _shift_log_scale_np(self, x: np.ndarray, context: np.ndarray):
-        """Shift, log-scale and the VJP (g_shift, g_log_scale) -> g_x."""
+    def _shift_log_scale_np(self, x: np.ndarray, context: np.ndarray,
+                            param_grads: bool = False):
+        """Shift, log-scale and the VJP (g_shift, g_log_scale) -> g_x.
+
+        With ``param_grads`` the VJP is ``vjp(g_shift, g_log_scale,
+        input_grad) -> (g_x, grads)``, as the tape computes them: g_x only
+        if ``input_grad`` (else None), and the gradient of each of
+        ``params``. Only that VJP keeps the activations alive; the search's
+        must not, or every search step slows.
+        """
         w1, b1, w2, b2, wm, bm, wa, ba = self.params
         m1, m2, mo = self.masks
         w1, w2, wm, wa = w1 * m1, w2 * m2, wm * mo, wa * mo
-        # the VJP keeps boolean masks, not the float pre-activations
-        pre = np.concatenate([x, context], axis=1) @ w1 + b1
+        # the input VJP keeps boolean masks, not the float pre-activations
+        inp = np.concatenate([x, context], axis=1)
+        pre = inp @ w1 + b1
         relu1 = pre > 0.0
-        pre = np.maximum(pre, 0.0) @ w2 + b2
+        h1 = np.maximum(pre, 0.0)
+        pre = h1 @ w2 + b2
         relu2 = pre > 0.0
         h = np.maximum(pre, 0.0)
         raw = h @ wa + ba
         unclipped = (raw > -LOG_SCALE_BOUND) & (raw < LOG_SCALE_BOUND)
 
-        def vjp(g_shift, g_log_scale):
-            g = g_shift @ wm.T + (g_log_scale * unclipped) @ wa.T
-            g = (g * relu2) @ w2.T
-            # only the data columns of the input need a cotangent
-            return (g * relu1) @ w1[: self.d].T
+        def backward(g_shift, g_log_scale):
+            """Cotangents of the raw log-scale and of both pre-activations."""
+            g_raw = g_log_scale * unclipped
+            g2 = (g_shift @ wm.T + g_raw @ wa.T) * relu2
+            return g_raw, g2, (g2 @ w2.T) * relu1
+
+        if param_grads:
+            def vjp(g_shift, g_log_scale, input_grad):
+                g_raw, g2, g1 = backward(g_shift, g_log_scale)
+                grads = [(inp.T @ g1) * m1, g1.sum(axis=0),
+                         (h1.T @ g2) * m2, g2.sum(axis=0),
+                         (h.T @ g_shift) * mo, g_shift.sum(axis=0),
+                         (h.T @ g_raw) * mo, g_raw.sum(axis=0)]
+                # the whole input's cotangent, as the tape forms it, then
+                # the data columns: bit for bit the tape's
+                g_x = (g1 @ w1.T)[:, : self.d] if input_grad else None
+                return g_x, grads
+        else:
+            def vjp(g_shift, g_log_scale):
+                # only the data columns of the input need a cotangent
+                return backward(g_shift, g_log_scale)[2] @ w1[: self.d].T
 
         shift = h @ wm + bm
         return shift, np.clip(raw, -LOG_SCALE_BOUND, LOG_SCALE_BOUND), vjp
 
-    def inverse_and_vjp(self, x: np.ndarray, context: np.ndarray):
-        """Data -> latent: z, per-row sum of log-scales, and their input VJP.
+    def inverse_and_vjp(self, x: np.ndarray, context: np.ndarray,
+                        param_grads: bool = False):
+        """Data -> latent: z, per-row sum of log-scales, and their VJP.
 
         The VJP maps cotangents ``(g_z, g_log_scale_sum)`` of shapes (n, d)
-        and (n,) to the cotangent on ``x``.
+        and (n,) to the cotangent on ``x``. With ``param_grads`` it is
+        ``vjp(g_z, g_log_scale_sum, input_grad) -> (g_x, grads)``, as in
+        ``_shift_log_scale_np``.
         """
-        shift, log_scale, conditioner_vjp = self._shift_log_scale_np(x, context)
+        shift, log_scale, conditioner_vjp = self._shift_log_scale_np(
+            x, context, param_grads
+        )
+        diff = x - shift
         scale = np.exp(-log_scale)
-        z = (x - shift) * scale
+        z = diff * scale
 
-        def vjp(g_z, g_log_scale_sum):
-            g_diff = g_z * scale
-            # dz/dlog_scale = -z on the diagonal
-            g_log_scale = g_log_scale_sum[:, None] - g_z * z
-            return g_diff + conditioner_vjp(-g_diff, g_log_scale)
+        if param_grads:
+            def vjp(g_z, g_log_scale_sum, input_grad):
+                g_diff = g_z * scale
+                # the tape's order, (g_z * diff) * scale, rounds unlike g_z * z
+                g_log_scale = g_log_scale_sum[:, None] - g_z * diff * scale
+                g_x, grads = conditioner_vjp(-g_diff, g_log_scale, input_grad)
+                return (g_diff + g_x if input_grad else None), grads
+        else:
+            def vjp(g_z, g_log_scale_sum):
+                g_diff = g_z * scale
+                # dz/dlog_scale = -z on the diagonal
+                g_log_scale = g_log_scale_sum[:, None] - g_z * z
+                return g_diff + conditioner_vjp(-g_diff, g_log_scale)
 
         return z, log_scale.sum(axis=1), vjp
 
@@ -200,14 +242,14 @@ class MaskedAutoregressiveFlow(BaseEstimator):
         )
         return base - total_log_scale
 
-    def _inverse_stack(self, X: np.ndarray, y):
+    def _inverse_stack(self, X: np.ndarray, y, param_grads: bool = False):
         """Latent of every row, the summed log-scales, and each transform's VJP."""
         context = self._context(y, X.shape[0])
         z = X
         total = np.zeros(X.shape[0])
         vjps = []
         for tr in self.transforms_:
-            z, row_log_scale, vjp = tr.inverse_and_vjp(z, context)
+            z, row_log_scale, vjp = tr.inverse_and_vjp(z, context, param_grads)
             total += row_log_scale
             vjps.append(vjp)
         return z, total, vjps
@@ -236,6 +278,24 @@ class MaskedAutoregressiveFlow(BaseEstimator):
         for vjp in reversed(vjps):
             grad = vjp(grad, per_row)
         return self._base_log_prob(z) - total, grad
+
+    def _loss_and_grads(self, X: np.ndarray, y):
+        """Mean negative log-density of the rows and its gradient per parameter.
+
+        The closed-form reverse pass of ``log_prob_tensor``'s mean, step for
+        step in the tape's order, so each gradient equals the tape's bit for
+        bit. The gradients follow the transforms' ``params`` in stack order.
+        """
+        z, total, vjps = self._inverse_stack(X, y, param_grads=True)
+        # the tape's cotangents of z (through the base log-density's square)
+        # and of every transform's summed log-scales
+        g_z = z * (1.0 / X.shape[0])
+        g_log_scale_sum = np.full(X.shape[0], 1.0 / X.shape[0])
+        grads = []
+        for k, vjp in reversed(list(enumerate(vjps))):
+            g_z, transform_grads = vjp(g_z, g_log_scale_sum, k > 0)
+            grads[:0] = transform_grads
+        return -np.mean(self._base_log_prob(z) - total), grads
 
     def inverse(self, X, y):
         """Data -> latent; returns (z, log|det dz/dx|) per row."""
@@ -276,8 +336,7 @@ class MaskedAutoregressiveFlow(BaseEstimator):
         (Xtr, ytr), (Xval, yval) = _val_split(X, y, cfg.val_fraction, rng)
         fit_adam(
             [p for tr in self.transforms_ for p in tr.params],
-            [t for tr in self.transforms_ for t in tr.param_tensors],
-            lambda Xb, yb: -1.0 * ad.tmean(self.log_prob_tensor(Tensor(Xb), yb)),
+            self._loss_and_grads,
             lambda: -float(np.mean(self.score_samples(Xval, yval))),
             lambda: (Xtr + rng.normal(0.0, self.jitter, size=Xtr.shape), ytr),
             cfg, rng,

@@ -3,10 +3,13 @@
 Both expose a numpy ``predict_proba`` / ``predict`` surface plus
 ``proba_and_input_vjp``, which returns the probabilities together with their
 closed-form vector-Jacobian product with respect to the input; the
-counterfactual search runs on that. Training minimizes a cross-entropy built
-on the autodiff tape with ``predict_proba_tensor``, which the gradient checks
-in the tests also use. ``fit_adam`` here is the one training loop (minibatch
-Adam, early stopping, best-parameter restore); the flow trains through it too.
+counterfactual search runs on that. Training minimizes the cross-entropy
+through ``_loss_and_grads``, a closed-form numpy reverse pass that also
+returns the parameter gradients. It takes the autodiff tape's steps in the
+tape's order, so its gradients equal the tape's bit for bit; the tape form
+(``predict_proba_tensor``) stays as the reference the tests check against.
+``fit_adam`` here is the one training loop (minibatch Adam, early stopping,
+best-parameter restore); the flow trains through it too.
 """
 
 from __future__ import annotations
@@ -66,22 +69,34 @@ def _val_split(X: np.ndarray, y: np.ndarray, fraction: float,
 
 
 class TrainingError(RuntimeError):
-    """Training hit a non-finite loss."""
+    """Training hit a non-finite loss or gradient."""
 
 
-# the tape raises on a non-finite value, which fit_adam reports as a
-# TrainingError, so numpy's overflow warnings would only repeat it
+def _check_finite(loss, grads=()) -> None:
+    """Raise ``FloatingPointError`` naming the first non-finite value."""
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"the loss is {loss}")
+    for k, g in enumerate(grads):
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"the gradient of parameter {k} is not finite")
+
+
+# a non-finite value is reported as a TrainingError, so numpy's overflow
+# warnings would only repeat it
 @np.errstate(all="ignore")
-def fit_adam(params, tensors, batch_loss, val_loss, epoch_data,
+def fit_adam(params, loss_and_grads, val_loss, epoch_data,
              cfg: TrainConfig, rng: np.random.Generator) -> None:
     """Minibatch Adam with early stopping; leaves the best parameters in place.
 
-    ``params`` are the arrays Adam updates and ``tensors`` the tape leaves
-    that share their memory. Each epoch, ``epoch_data()`` returns the
-    training arrays (drawing any noise before the epoch's permutation) and
-    ``batch_loss`` maps their minibatch rows to a scalar tape loss. Training
-    stops once ``val_loss()`` has not improved for ``cfg.patience`` epochs;
-    a loss the tape cannot evaluate raises ``TrainingError``.
+    ``params`` are the arrays Adam updates. Each epoch, ``epoch_data()``
+    returns the training arrays (drawing any noise before the epoch's
+    permutation), and ``loss_and_grads`` maps their minibatch rows to the
+    scalar loss and its gradient with respect to each of ``params``. The
+    models pass their closed-form numpy gradients; no autodiff graph is
+    built, and the tape serves only as the reference the tests compare
+    those gradients with. Training stops once ``val_loss()`` has not
+    improved for ``cfg.patience`` epochs. A loss, gradient or validation
+    loss that is not finite raises ``TrainingError``.
     """
     adam = AdamState([p.shape for p in params])
     best_loss = np.inf
@@ -94,18 +109,17 @@ def fit_adam(params, tensors, batch_loss, val_loss, epoch_data,
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
             try:
-                loss = batch_loss(*(a[batch] for a in data))
-            except (ArithmeticError, ad.DomainError) as err:
+                loss, grads = loss_and_grads(*(a[batch] for a in data))
+                _check_finite(loss, grads)
+            except ArithmeticError as err:
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 ) from err
-            loss.backward()
-            adam_step(params, [t.grad for t in tensors], adam, cfg.learning_rate)
-            for t in tensors:
-                t.zero_grad()
+            adam_step(params, grads, adam, cfg.learning_rate)
         try:
             current = val_loss()
-        except (ArithmeticError, ad.DomainError) as err:
+            _check_finite(current)
+        except ArithmeticError as err:
             raise TrainingError(
                 f"non-finite validation loss at epoch {epoch}"
             ) from err
@@ -138,7 +152,11 @@ class _GradientClassifier(BaseEstimator):
         raise NotImplementedError
 
     def _logits_and_vjp(self, X: np.ndarray):
-        """Numpy logits and a closure mapping d/dlogits to d/dX."""
+        """Numpy logits and two closures on d/dlogits.
+
+        The first maps it to d/dX, the second to the list of gradients of
+        ``_params``, each as the tape computes it.
+        """
         raise NotImplementedError
 
     # shared -------------------------------------------------------------
@@ -162,24 +180,45 @@ class _GradientClassifier(BaseEstimator):
         self._init_params(self.n_features_, self.n_classes_, rng)
         (Xtr, ytr), (Xval, yval) = _val_split(X, y, cfg.val_fraction, rng)
         fit_adam(
-            self._params, self._param_tensors,
-            lambda Xb, yb: self._loss(Xb, yb, cfg.weight_decay),
-            lambda: float(self._loss(Xval, yval, 0.0).data),
+            self._params,
+            lambda Xb, yb: self._loss_and_grads(Xb, yb, cfg.weight_decay),
+            lambda: self._cross_entropy(Xval, yval)[0],
             lambda: (Xtr, ytr),
             cfg, rng,
         )
         return self
 
-    def _loss(self, X: np.ndarray, y: np.ndarray, weight_decay: float) -> Tensor:
-        logp = ad.log_softmax(self._logits(Tensor(X)))
-        onehot = Tensor(_one_hot(y, self.n_classes_))
-        nll = -1.0 * ad.tmean(ad.tsum(logp * onehot, axis=1))
+    def _cross_entropy(self, X: np.ndarray, y: np.ndarray):
+        """Mean cross-entropy of the rows, and a closure giving its parameter gradients."""
+        logits, _, param_vjp = self._logits_and_vjp(X)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        onehot = _one_hot(y, self.n_classes_)
+
+        def backward():
+            # d/dlogp of the mean, then log_softmax's backward, as on the tape
+            g = (-1.0 / X.shape[0]) * onehot
+            return param_vjp(g - np.exp(logp) * g.sum(axis=1, keepdims=True))
+
+        return -1.0 * (logp * onehot).sum(axis=1).mean(), backward
+
+    def _loss_and_grads(self, X: np.ndarray, y: np.ndarray,
+                        weight_decay: float = 0.0):
+        """Training loss of the rows and its gradient for each of ``_params``.
+
+        The loss is the mean cross-entropy plus ``0.5 * weight_decay`` times
+        the summed squares of the weights (the even-numbered parameters).
+        Every gradient takes the tape's steps in the tape's order, so it
+        equals the tape's bit for bit.
+        """
+        loss, backward = self._cross_entropy(X, y)
+        grads = backward()
         if weight_decay > 0:
-            penalty = Tensor(0.0)
-            for t in self._param_tensors[0::2]:
-                penalty = penalty + ad.tsum(ad.square(t))
-            nll = nll + Tensor(0.5 * weight_decay) * penalty
-        return nll
+            for k in range(0, len(grads), 2):
+                w = self._params[k]
+                loss += 0.5 * weight_decay * (w**2).sum()
+                grads[k] = grads[k] + 0.5 * weight_decay * 2.0 * w
+        return loss, grads
 
     def predict_proba_tensor(self, x: Tensor) -> Tensor:
         return ad.softmax(self._logits(x))
@@ -191,7 +230,7 @@ class _GradientClassifier(BaseEstimator):
         (n, n_features) cotangent on ``X``. Rows never interact, and no
         parameter gradient is computed or stored.
         """
-        logits, logits_vjp = self._logits_and_vjp(X)
+        logits, logits_vjp, _ = self._logits_and_vjp(X)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
 
@@ -262,7 +301,7 @@ class LogisticRegression(_GradientClassifier):
 
     def _logits_and_vjp(self, X):
         w, b = self._params
-        return X @ w + b, lambda g: g @ w.T
+        return X @ w + b, lambda g: g @ w.T, lambda g: [X.T @ g, g.sum(axis=0)]
 
 
 class MlpClassifier(_GradientClassifier):
@@ -295,14 +334,22 @@ class MlpClassifier(_GradientClassifier):
         w1, b1, w2, b2, w3, b3 = self._params
         pre = X @ w1 + b1
         relu1 = pre > 0.0
-        pre = np.maximum(pre, 0.0) @ w2 + b2
+        h1 = np.maximum(pre, 0.0)
+        pre = h1 @ w2 + b2
         relu2 = pre > 0.0
+        h2 = np.maximum(pre, 0.0)
 
         def vjp(g):
             g = (g @ w3.T) * relu2
             return ((g @ w2.T) * relu1) @ w1.T
 
-        return np.maximum(pre, 0.0) @ w3 + b3, vjp
+        def param_vjp(g):
+            g2 = (g @ w3.T) * relu2
+            g1 = (g2 @ w2.T) * relu1
+            return [X.T @ g1, g1.sum(axis=0), h1.T @ g2, g2.sum(axis=0),
+                    h2.T @ g, g.sum(axis=0)]
+
+        return h2 @ w3 + b3, vjp, param_vjp
 
 
 _ARCHS = {"lr": LogisticRegression, "mlp": MlpClassifier}

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,3 +412,28 @@ def test_csv_dataset_end_to_end(tmp_path, capsys):
     record = json.loads((out / "experiment.json").read_text())
     assert printed == record["aggregate"]
     assert record["aggregate"]["validity"]["mean"] == 1.0
+
+
+FAULTS_PER_TURN_SCRIPT = """
+import resource
+import numpy as np
+from flowcf import cli
+cli._keep_freed_memory()
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    live = [np.ones(15000) for _ in range(8)]  # about 1 MiB, then freed
+    del live
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mallopt")
+def test_the_cli_keeps_freed_heap_memory():
+    # a search iteration allocates and frees the same arrays every turn; the
+    # pages of the first turn must serve the next 199 without faulting again
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_TURN_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    pages_per_turn = 8 * 15000 * 8 // 4096
+    assert int(out.stdout) < 2 * pages_per_turn
