@@ -59,14 +59,12 @@ from .models import (
     TrainingError,
     load_classifier,
 )
-from .optim import AdamState, adam_step
 
 __all__ = [
     "__version__",
     "Tensor", "DimensionError", "DomainError",
     "finite_difference_check",
     "BaseEstimator", "check_array", "check_labels", "check_X_y",
-    "AdamState", "adam_step",
     "TrainConfig", "LogisticRegression", "MlpClassifier", "load_classifier",
     "MadeTransform", "MaskedAutoregressiveFlow", "FlowNumericsError",
     "TrainingError", "load_flow",

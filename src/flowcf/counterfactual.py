@@ -8,9 +8,9 @@ optimized jointly but the rows never couple, so batch and single-instance
 runs produce the same counterfactuals.
 
 One descent loop (``_search``) serves both the plausible objective and the
-Wachter baseline, and steps with ``optim.adam_step`` on the rows still
-active. It reports where each row stopped and measures nothing at the
-answer; ``metrics.evaluate`` does that. The loop keeps no history: a caller
+Wachter baseline; ``optim.adam_step`` steps its active rows as one block. It
+reports where each row stopped and measures nothing at the answer;
+``metrics.evaluate`` does that. The loop keeps no history: a caller
 that wants a row's path wraps the objective, which sees every iterate (see
 ``_search``). Each objective is evaluated with its input gradient in closed
 form with numpy, from the models' ``proba_and_input_vjp`` and
@@ -234,70 +234,61 @@ def _wachter_objective(x0, targets, clf, cfg: CfConfig):
 def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
     """Batched Adam descent on ``objective``; rows never couple.
 
-    ``objective(idx, x)`` takes row indices and the current points of those
-    rows. It returns the per-row objective, its gradient with respect to x,
-    and a mask of the rows that meet every constraint, or None if it has no
-    constraints. It runs once per iteration on the active rows, before their
-    step.
+    ``objective(idx, x)`` takes the ascending indices of the active rows and
+    their current points. It returns the per-row objective, its gradient
+    with respect to x, and a mask of the rows that meet every constraint,
+    or None if it has no constraints. It runs once per iteration, before
+    the active rows' step, which may update ``x`` in place, so an objective
+    that keeps ``x`` copies it.
 
     A row stops once it is feasible (when the objective has constraints) and
     its objective moved by less than ``convergence_tol``. A row whose numbers
     stop being finite fails alone. A row that exhausts ``max_iters`` falls
-    back to its newest feasible iterate, if it had one.
+    back to its newest feasible iterate, if it had one. The active rows'
+    indices, points, previous objectives and Adam moments are compacted
+    only on an iteration where some row stops.
     """
     n, d = x0.shape
+    idx = np.arange(n)
     x = x0.copy()
-    adam = AdamState([(n, d)])
-    active = np.ones(n, dtype=bool)
-    covered = np.ones(n, dtype=bool)
-    iterations = np.zeros(n, dtype=np.int64)
-    stop_time = np.zeros(n)
     prev_obj = np.full(n, np.inf)
+    adam = AdamState((n, d))
     # Rows that never settle oscillate across the constraint boundary, so
     # the final iterate can sit a hair outside it; the newest iterate that
     # met every constraint is kept as the answer of record. It is not the
     # closest feasible iterate seen: distance can grow after feasibility.
-    feasible_x = np.full((n, d), np.nan)
+    x_cf = np.empty((n, d))
     has_feasible = np.zeros(n, dtype=bool)
+    covered = np.ones(n, dtype=bool)
+    iterations = np.full(n, cfg.max_iters)
+    stop_time = np.zeros(n)
 
     start = time.perf_counter()
-
-    def stop(rows: np.ndarray, iterations_used) -> None:
-        active[rows] = False
-        iterations[rows] = iterations_used
-        stop_time[rows] = time.perf_counter() - start
-
     for it in range(1, cfg.max_iters + 1):
-        if not active.any():
+        if idx.size == 0:
             break
-        idx = np.flatnonzero(active)
         with np.errstate(all="ignore"):
-            obj, grad, feasible = objective(idx, x[idx])
-
-        finite = np.all(np.isfinite(grad), axis=1) & np.isfinite(obj)
-        if not finite.all():
-            failed = idx[~finite]
-            stop(failed, it)
-            covered[failed] = False
-            x[failed] = np.nan
-            idx, obj, grad = idx[finite], obj[finite], grad[finite]
-            if feasible is not None:
-                feasible = feasible[finite]
-            if idx.size == 0:
-                continue
-
-        done = np.abs(prev_obj[idx] - obj) < cfg.convergence_tol
+            obj, grad, feasible = objective(idx, x)
+            failed = ~(np.all(np.isfinite(grad), axis=1) & np.isfinite(obj))
+            done = ~failed & (np.abs(prev_obj - obj) < cfg.convergence_tol)
         if feasible is not None:
-            ok = idx[feasible]
-            feasible_x[ok] = x[ok]
-            has_feasible[ok] = True
+            # a failed row's answer is overwritten below, and only rows
+            # still active at the cap read has_feasible
+            x_cf[idx[feasible]] = x[feasible]
+            has_feasible[idx[feasible]] = True
             done &= feasible
-        prev_obj[idx] = obj
-        if done.any():
-            stop(idx[done], it - 1)
-            idx, grad = idx[~done], grad[~done]
-            if idx.size == 0:
-                continue
+        stopped = failed | done
+        if stopped.any():
+            x_cf[idx[done]] = x[done]
+            x_cf[idx[failed]] = np.nan
+            covered[idx[failed]] = False
+            iterations[idx[done]] = it - 1
+            iterations[idx[failed]] = it
+            stop_time[idx[stopped]] = time.perf_counter() - start
+            keep = ~stopped
+            idx, x, obj, grad = idx[keep], x[keep], obj[keep], grad[keep]
+            adam.m, adam.v = adam.m[keep], adam.v[keep]
+        prev_obj = obj
 
         # clip per row so one extreme gradient cannot dominate the
         # second-moment average for thousands of subsequent steps
@@ -305,15 +296,14 @@ def _search(x0: np.ndarray, targets: np.ndarray, objective, cfg: CfConfig):
         grad = grad * np.minimum(1.0, MAX_GRAD_NORM / np.maximum(norms, 1e-300))
 
         # every active row has taken it - 1 steps, so one counter serves all
-        adam_step([x], [grad], adam, cfg.learning_rate, rows=idx)
+        adam_step(x, grad, adam, cfg.learning_rate)
 
-    leftover = np.flatnonzero(active)
-    stop(leftover, cfg.max_iters)
-    fallback = leftover[has_feasible[leftover]]
-    x[fallback] = feasible_x[fallback]
+    stop_time[idx] = time.perf_counter() - start
+    last = ~has_feasible[idx]
+    x_cf[idx[last]] = x[last]
     return [
         CfResult(
-            x_cf=x[i].copy(),
+            x_cf=x_cf[i].copy(),
             target=int(targets[i]),
             covered=bool(covered[i]),
             iterations_used=int(iterations[i]),

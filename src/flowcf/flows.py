@@ -24,7 +24,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .base import (BaseEstimator, _check_count, _check_number, check_array,
                    check_labels, check_X_y)
-from .models import TrainConfig, TrainingError, _one_hot, _val_split, fit_adam
+from .models import (TrainConfig, TrainingError, _flat_views, _one_hot,
+                     _val_split, fit_adam)
 
 __all__ = ["MadeTransform", "MaskedAutoregressiveFlow", "FlowNumericsError",
            "TrainingError", "load_flow"]
@@ -65,15 +66,18 @@ class MadeTransform:
             return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
         # zeroed heads make the untrained transform the identity
-        self.params = [
+        self._bind_params([
             he(in_dim, (in_dim, hidden)), np.zeros(hidden),
             he(hidden, (hidden, hidden)), np.zeros(hidden),
             np.zeros((hidden, d)), np.zeros(d),
             np.zeros((hidden, d)), np.zeros(d),
-        ]
-        # the tape leaves share memory with the arrays that Adam updates
-        self.param_tensors = [Tensor(p, requires_grad=True) for p in self.params]
+        ])
         self._mask_tensors = [Tensor(m) for m in self.masks]
+
+    def _bind_params(self, params: list[np.ndarray]) -> None:
+        """Use ``params`` as the parameters; the tape leaves share their memory."""
+        self.params = params
+        self.param_tensors = [Tensor(p, requires_grad=True) for p in params]
 
     # graph path ---------------------------------------------------------
     def _shift_log_scale(self, x: Tensor, context: np.ndarray):
@@ -218,6 +222,11 @@ class MaskedAutoregressiveFlow(BaseEstimator):
             )
             for k in range(self.n_transforms)
         ]
+        # one flat vector; each transform's parameters are views of it
+        arrays = [p for tr in self.transforms_ for p in tr.params]
+        self._flat_params, views = _flat_views(arrays)
+        for k, tr in enumerate(self.transforms_):
+            tr._bind_params(views[8 * k : 8 * k + 8])
 
     def _context(self, y, n_rows: int) -> np.ndarray:
         return _one_hot(check_labels(y, self.n_classes_, n_rows), self.n_classes_)
@@ -335,7 +344,7 @@ class MaskedAutoregressiveFlow(BaseEstimator):
         self._build(X.shape[1], counts.size, rng)
         (Xtr, ytr), (Xval, yval) = _val_split(X, y, cfg.val_fraction, rng)
         fit_adam(
-            [p for tr in self.transforms_ for p in tr.params],
+            self._flat_params,
             self._loss_and_grads,
             lambda: -float(np.mean(self.score_samples(Xval, yval))),
             lambda: (Xtr + rng.normal(0.0, self.jitter, size=Xtr.shape), ytr),

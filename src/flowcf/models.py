@@ -9,7 +9,9 @@ returns the parameter gradients. It takes the autodiff tape's steps in the
 tape's order, so its gradients equal the tape's bit for bit; the tape form
 (``predict_proba_tensor``) stays as the reference the tests check against.
 ``fit_adam`` here is the one training loop (minibatch Adam, early stopping,
-best-parameter restore); the flow trains through it too.
+best-parameter restore); the flow trains through it too. Adam steps each
+model's one flat parameter vector, of which every parameter array and tape
+leaf is a view.
 """
 
 from __future__ import annotations
@@ -72,13 +74,26 @@ class TrainingError(RuntimeError):
     """Training hit a non-finite loss or gradient."""
 
 
-def _check_finite(loss, grads=()) -> None:
-    """Raise ``FloatingPointError`` naming the first non-finite value."""
+def _flat_views(arrays):
+    """One float64 vector holding ``arrays`` in order, and a view of it per array."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    pieces = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    return flat, [piece.reshape(a.shape) for piece, a in zip(pieces, arrays)]
+
+
+def _check_finite(loss) -> None:
+    """Raise ``FloatingPointError`` if the loss is not finite."""
     if not np.isfinite(loss):
         raise FloatingPointError(f"the loss is {loss}")
-    for k, g in enumerate(grads):
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"the gradient of parameter {k} is not finite")
+
+
+def _flat_grad(grads) -> np.ndarray:
+    """The gradients as one vector; one finiteness pass, naming the first bad one."""
+    flat = np.concatenate([g.ravel() for g in grads])
+    if not np.isfinite(flat).all():
+        k = next(k for k, g in enumerate(grads) if not np.isfinite(g).all())
+        raise FloatingPointError(f"the gradient of parameter {k} is not finite")
+    return flat
 
 
 # a non-finite value is reported as a TrainingError, so numpy's overflow
@@ -88,19 +103,19 @@ def fit_adam(params, loss_and_grads, val_loss, epoch_data,
              cfg: TrainConfig, rng: np.random.Generator) -> None:
     """Minibatch Adam with early stopping; leaves the best parameters in place.
 
-    ``params`` are the arrays Adam updates. Each epoch, ``epoch_data()``
-    returns the training arrays (drawing any noise before the epoch's
-    permutation), and ``loss_and_grads`` maps their minibatch rows to the
-    scalar loss and its gradient with respect to each of ``params``. The
-    models pass their closed-form numpy gradients; no autodiff graph is
-    built, and the tape serves only as the reference the tests compare
-    those gradients with. Training stops once ``val_loss()`` has not
-    improved for ``cfg.patience`` epochs. A loss, gradient or validation
+    ``params`` is the model's flat parameter vector, which Adam steps in
+    place. Each epoch, ``epoch_data()`` returns the training arrays (drawing
+    any noise before the epoch's permutation), and ``loss_and_grads`` maps
+    their minibatch rows to the scalar loss and its gradient per parameter
+    array, in the vector's order, which are concatenated once. The models
+    pass closed-form numpy gradients; no autodiff graph is built. Training
+    stops once ``val_loss()`` has not improved for ``cfg.patience`` epochs,
+    and one copy restores the best epoch. A loss, gradient or validation
     loss that is not finite raises ``TrainingError``.
     """
-    adam = AdamState([p.shape for p in params])
+    adam = AdamState(params.shape)
     best_loss = np.inf
-    best_params = [p.copy() for p in params]
+    best_params = params.copy()
     stale = 0
     for epoch in range(cfg.epochs):
         data = epoch_data()
@@ -110,12 +125,13 @@ def fit_adam(params, loss_and_grads, val_loss, epoch_data,
             batch = order[start : start + cfg.batch_size]
             try:
                 loss, grads = loss_and_grads(*(a[batch] for a in data))
-                _check_finite(loss, grads)
+                _check_finite(loss)
+                grad = _flat_grad(grads)
             except ArithmeticError as err:
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 ) from err
-            adam_step(params, grads, adam, cfg.learning_rate)
+            adam_step(params, grad, adam, cfg.learning_rate)
         try:
             current = val_loss()
             _check_finite(current)
@@ -125,14 +141,13 @@ def fit_adam(params, loss_and_grads, val_loss, epoch_data,
             ) from err
         if current < best_loss - 1e-12:
             best_loss = current
-            best_params = [p.copy() for p in params]
+            best_params = params.copy()
             stale = 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
-    for p, best in zip(params, best_params):
-        p[...] = best
+    params[...] = best_params
 
 
 class _GradientClassifier(BaseEstimator):
@@ -165,8 +180,10 @@ class _GradientClassifier(BaseEstimator):
         return self.train_config or TrainConfig()
 
     def _init_params(self, d: int, n_classes: int, rng: np.random.Generator):
-        self._params = self._new_params(d, n_classes, rng)
-        # the tape leaves share memory with the arrays that Adam updates
+        self._flat_params, self._params = _flat_views(
+            self._new_params(d, n_classes, rng)
+        )
+        # the tape leaves share memory with the vector that Adam updates
         self._param_tensors = [Tensor(p, requires_grad=True) for p in self._params]
 
     def fit(self, X, y):
@@ -180,7 +197,7 @@ class _GradientClassifier(BaseEstimator):
         self._init_params(self.n_features_, self.n_classes_, rng)
         (Xtr, ytr), (Xval, yval) = _val_split(X, y, cfg.val_fraction, rng)
         fit_adam(
-            self._params,
+            self._flat_params,
             lambda Xb, yb: self._loss_and_grads(Xb, yb, cfg.weight_decay),
             lambda: self._cross_entropy(Xval, yval)[0],
             lambda: (Xtr, ytr),
@@ -289,11 +306,11 @@ class LogisticRegression(_GradientClassifier):
     """Multinomial logistic regression; the C=2 softmax form covers binary."""
 
     arch = "lr"
+    weights_ = property(lambda self: self._params[0])
+    bias_ = property(lambda self: self._params[1])
 
     def _new_params(self, d, n_classes, rng):
-        self.weights_ = np.zeros((d, n_classes), dtype=np.float64)
-        self.bias_ = np.zeros(n_classes, dtype=np.float64)
-        return [self.weights_, self.bias_]
+        return [np.zeros((d, n_classes)), np.zeros(n_classes)]
 
     def _logits(self, x: Tensor) -> Tensor:
         w, b = self._param_tensors

@@ -175,45 +175,44 @@ def test_random_composite_gradient(seed):
 
 def test_adam_first_step_magnitude():
     x = np.array([10.0, -4.0])
-    state = AdamState([x.shape])
-    adam_step([x], [np.array([100.0, -0.5])], state, lr=0.01)
+    state = AdamState(x.shape)
+    adam_step(x, np.array([100.0, -0.5]), state, lr=0.01)
     # bias-corrected first step is lr * sign(g) up to eps rounding
     assert np.allclose(x, [10.0 - 0.01, -4.0 + 0.01], atol=1e-5)
 
 
 def test_adam_zero_grad_never_moves():
     x = np.array([1.0, 2.0])
-    state = AdamState([x.shape])
+    state = AdamState(x.shape)
     for _ in range(10):
-        adam_step([x], [np.zeros(2)], state, lr=0.1)
+        adam_step(x, np.zeros(2), state, lr=0.1)
     assert np.array_equal(x, [1.0, 2.0])
 
 
 def test_adam_converges_on_quadratic():
     x = np.array([0.0])
-    state = AdamState([x.shape])
+    state = AdamState(x.shape)
     for _ in range(2000):
-        adam_step([x], [2.0 * (x - 3.0)], state, lr=0.01)
+        adam_step(x, 2.0 * (x - 3.0), state, lr=0.01)
     assert abs(x[0] - 3.0) < 1e-3
 
 
-def test_adam_row_subset_moves_only_those_rows():
+def test_adam_on_a_concatenation_equals_adam_on_each_piece():
+    # Adam is elementwise, so a model may step all of its parameters as one
+    # flat vector, and the search its active rows as one block
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(6, 3))
-    state = AdamState([x.shape])
-    adam_step([x], [rng.normal(size=x.shape)], state, lr=0.1)
-    rows = np.array([1, 4, 5])
-    grad = rng.normal(size=(rows.size, 3))
-    others = np.setdiff1d(np.arange(6), rows)
-    before = [a[others].copy() for a in (x, state.m[0], state.v[0])]
-    # the same step taken on a copy that holds only the chosen rows
-    sub_x = x[rows].copy()
-    sub = AdamState([sub_x.shape])
-    sub.m[0][...], sub.v[0][...], sub.t = state.m[0][rows], state.v[0][rows], state.t
-    adam_step([sub_x], [grad], sub, lr=0.1)
-
-    adam_step([x], [grad], state, lr=0.1, rows=rows)
-    for a, b in zip((x, state.m[0], state.v[0]), before):
-        assert np.array_equal(a[others], b)
-    for a, b in zip((x, state.m[0], state.v[0]), (sub_x, sub.m[0], sub.v[0])):
-        assert np.array_equal(a[rows], b)
+    pieces = [rng.normal(size=shape) for shape in [(4, 3), (3,), (2, 5)]]
+    states = [AdamState(p.shape) for p in pieces]
+    flat = np.concatenate([p.ravel() for p in pieces])
+    flat_state = AdamState(flat.shape)
+    for _ in range(3):
+        grads = [rng.normal(scale=10.0, size=p.shape) for p in pieces]
+        adam_step(flat, np.concatenate([g.ravel() for g in grads]), flat_state,
+                  lr=0.1)
+        for p, g, state in zip(pieces, grads, states):
+            adam_step(p, g, state, lr=0.1)
+    assert flat_state.t == 3 and all(state.t == 3 for state in states)
+    for name in ("m", "v"):
+        pieces_moment = [getattr(state, name).ravel() for state in states]
+        assert np.array_equal(getattr(flat_state, name), np.concatenate(pieces_moment))
+    assert np.array_equal(flat, np.concatenate([p.ravel() for p in pieces]))

@@ -412,31 +412,45 @@ def test_wachter_flips_class_without_density_term(setup):
     assert np.array_equal(clf.predict(xcf), targets)
 
 
-@pytest.mark.parametrize("at_cap", [False, True], ids=["converged", "at-cap"])
-def test_search_calls_the_objective_once_per_iteration(setup, at_cap):
-    # a row that stops after k steps was evaluated at its k + 1 iterates;
-    # a row at the cap was evaluated before each of its max_iters steps
+@pytest.mark.parametrize("case", ["converged", "at-cap", "mixed"])
+def test_search_calls_the_objective_once_per_iteration(setup, case):
+    # a row that stops after k steps was evaluated at its k + 1 iterates, a
+    # row that fails at iteration k at its k iterates, and a row at the cap
+    # before each of its max_iters steps
     X, y, clf, flow, delta = setup
-    if at_cap:
-        x0, targets = X[:1], 1 - clf.predict(X[:1])
-        cfg = CfConfig(max_iters=5)
-    else:
-        x0, targets = _feasible_starts(setup, n=1)
-        cfg = CfConfig(max_iters=50)
+    starts = {
+        "converges": _feasible_starts(setup, n=1),
+        "fails": (np.array([[1e160, -1e160]]), np.array([1])),
+        "caps": (X[:1], 1 - clf.predict(X[:1])),
+    }
+    kinds = {"converged": ["converges"], "at-cap": ["caps"],
+             "mixed": ["converges", "fails", "caps"]}[case]
+    x0 = np.concatenate([starts[k][0] for k in kinds])
+    targets = np.concatenate([starts[k][1] for k in kinds])
+    cfg = CfConfig(max_iters=5 if case == "at-cap" else 50)
     objective = _plausible_objective(x0, targets, clf, flow, delta, cfg)
     calls = []
 
     def counting(idx, x):
-        calls.append(idx.size)
+        calls.append(idx.copy())
         return objective(idx, x)
 
-    r = _search(x0, targets, counting, cfg)[0]
-    assert r.covered
-    if at_cap:
-        assert r.iterations_used == cfg.max_iters == len(calls)
-    else:
-        assert r.iterations_used < cfg.max_iters
-        assert len(calls) == r.iterations_used + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow stays inside the search
+        results = _search(x0, targets, counting, cfg)
+    # each call sees the active rows, in ascending order
+    assert all(idx.size > 0 and np.all(np.diff(idx) > 0) for idx in calls)
+    for i, (kind, r) in enumerate(zip(kinds, results)):
+        seen = sum(i in idx for idx in calls)
+        if kind == "converges":
+            assert r.covered and r.iterations_used < cfg.max_iters
+            assert seen == r.iterations_used + 1
+        elif kind == "fails":
+            assert not r.covered and seen == r.iterations_used == 1
+        else:
+            assert r.covered and seen == r.iterations_used == cfg.max_iters
+    assert len(calls) == max(r.iterations_used + (k == "converges")
+                             for k, r in zip(kinds, results))
 
 
 def test_search_leaves_frozen_models_untouched(setup):

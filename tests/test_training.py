@@ -9,8 +9,9 @@ from flowcf import autodiff as ad
 from flowcf import flows, models
 from flowcf.autodiff import Tensor
 from flowcf.data import make_blobs, make_moons
-from flowcf.flows import LOG_SCALE_BOUND, MaskedAutoregressiveFlow
-from flowcf.models import LogisticRegression, MlpClassifier, TrainConfig, TrainingError
+from flowcf.flows import LOG_SCALE_BOUND, MaskedAutoregressiveFlow, load_flow
+from flowcf.models import (LogisticRegression, MlpClassifier, TrainConfig,
+                           TrainingError, load_classifier)
 
 # improves until epoch 2; the drop at epoch 3 is inside the 1e-12 margin,
 # and the 1.0 at epoch 6 must never be read with patience 3
@@ -88,6 +89,12 @@ def _params(model):
     return model._params
 
 
+def _tensors(model):
+    if isinstance(model, MaskedAutoregressiveFlow):
+        return _flow_tensors(model)
+    return model._param_tensors
+
+
 # the loop -----------------------------------------------------------------
 
 
@@ -95,14 +102,15 @@ def _params(model):
 def test_early_stop_after_patience_keeps_best_epoch(monkeypatch, module, make):
     # the model's real fit, with its validation loss replaced by SCRIPTED_VAL
     real_fit_adam = models.fit_adam
-    snapshots = []
+    trained, snapshots = [], []
 
     def scripted(params, loss_and_grads, val_loss, epoch_data, cfg, rng):
         def val():
             val_loss()
-            snapshots.append([p.copy() for p in params])
+            snapshots.append(params.copy())
             return SCRIPTED_VAL[len(snapshots) - 1]
 
+        trained.append(params)
         real_fit_adam(params, loss_and_grads, val, epoch_data, cfg, rng)
 
     monkeypatch.setattr(module, "fit_adam", scripted)
@@ -110,10 +118,33 @@ def test_early_stop_after_patience_keeps_best_epoch(monkeypatch, module, make):
     model = make(TrainConfig(seed=0, epochs=50, patience=3, learning_rate=1e-2))
     model.fit(data.features, data.labels)
 
+    # the loop trains the model's own flat vector, and every parameter array
+    # reads the best epoch's values once it returns
+    assert len(trained) == 1 and trained[0] is model._flat_params
     assert len(snapshots) == 6  # best epoch 2, then exactly 3 stale epochs
-    for p, best in zip(_params(model), snapshots[2]):
-        assert np.array_equal(p, best)
-    assert not all(np.array_equal(b, s) for b, s in zip(snapshots[2], snapshots[-1]))
+    assert np.array_equal(model._flat_params, snapshots[2])
+    flat = np.concatenate([p.ravel() for p in _params(model)])
+    assert np.array_equal(flat, snapshots[2])
+    assert not np.array_equal(snapshots[2], snapshots[-1])
+
+
+@pytest.mark.parametrize("make", [_classifier, _mlp, _flow, _flow2])
+def test_parameters_and_tape_leaves_view_one_flat_vector(make, tmp_path):
+    data = make_moons(n=120, seed=0)
+    model = make(TrainConfig(seed=0, epochs=2)).fit(data.features, data.labels)
+    model.save(tmp_path / "model.json")
+    load = load_flow if isinstance(model, MaskedAutoregressiveFlow) else load_classifier
+    for m in (model, load(tmp_path / "model.json")):
+        flat, params, tensors = m._flat_params, _params(m), _tensors(m)
+        assert flat.ndim == 1 and flat.dtype == np.float64
+        assert len(params) == len(tensors)
+        for p, t in zip(params, tensors):
+            assert np.shares_memory(p, flat) and np.shares_memory(t.data, flat)
+        # the views tile the vector in order: a write through it reaches
+        # every parameter array and every tape leaf
+        flat[...] = np.arange(flat.size)
+        assert np.array_equal(np.concatenate([p.ravel() for p in params]), flat)
+        assert np.array_equal(np.concatenate([t.data.ravel() for t in tensors]), flat)
 
 
 @pytest.mark.parametrize("make", [_classifier, _mlp, _flow])
@@ -125,6 +156,26 @@ def test_divergence_raises_training_error(make):
     # the finiteness check names what overflowed
     assert isinstance(info.value.__cause__, FloatingPointError)
     assert str(info.value.__cause__).startswith(("the loss is", "the gradient of"))
+
+
+def test_a_non_finite_gradient_names_its_first_parameter():
+    # the loop checks the flat gradient in one pass, but a failed fold
+    # still says which parameter array went bad first
+    data = make_moons(n=200, seed=0)
+    model = _mlp(TrainConfig(seed=0, epochs=2))
+    real = model._loss_and_grads
+
+    def poisoned(X, y, wd):
+        loss, grads = real(X, y, wd)
+        grads = list(grads)
+        grads[3] = np.where(np.arange(grads[3].size) == 1, np.nan, grads[3])
+        grads[5] = np.full_like(grads[5], np.inf)
+        return loss, grads
+
+    model._loss_and_grads = poisoned
+    with pytest.raises(TrainingError, match="non-finite loss at epoch 0, batch 0") as info:
+        model.fit(data.features, data.labels)
+    assert str(info.value.__cause__) == "the gradient of parameter 3 is not finite"
 
 
 def test_divergence_in_the_validation_loss_raises_training_error():
