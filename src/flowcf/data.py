@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import BaseEstimator, check_array, check_labels
+from .base import (BaseEstimator, _check_count, _check_number, check_array,
+                   check_labels)
 
 __all__ = [
     "Dataset",
@@ -98,8 +99,8 @@ class MinMaxScaler(BaseEstimator):
 
 def make_moons(n: int = 1024, noise: float = 0.01, seed: int = 0) -> Dataset:
     """Two interleaving half-circles with isotropic Gaussian noise."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_count("n", n, minimum=2)
+    _check_number("noise", noise)
     rng = np.random.default_rng(seed)
     n_upper = n // 2
     n_lower = n - n_upper
@@ -128,9 +129,8 @@ def make_blobs(
     """Equal-size isotropic Gaussian clusters around well-separated centers."""
     rng = np.random.default_rng(seed)
     if np.isscalar(centers):
+        _check_count("centers", centers, minimum=2)
         k = int(centers)
-        if k < 2:
-            raise ValueError("need at least 2 centers")
         if k <= 3:
             # default centers sit at mutual distance >= 6 * std
             locs = _DEFAULT_BLOB_CENTERS[:k] * max(1.0, std)
@@ -139,6 +139,7 @@ def make_blobs(
     else:
         locs = np.asarray(centers, dtype=np.float64)
         k = locs.shape[0]
+    _check_count("n", n, minimum=k)  # a point per center
     d = locs.shape[1]
     sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
     X = np.vstack([

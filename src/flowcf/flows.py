@@ -4,13 +4,14 @@ Each transform is a MADE-style masked network producing per-coordinate
 shift and log-scale from the preceding coordinates plus a one-hot class
 context; coordinate orderings are reversed between consecutive transforms.
 The density direction (data -> latent) needs a single masked pass. Its numpy
-form also returns the closed-form input gradient of the log-density
-(``log_prob_and_input_grad``), which is what the counterfactual search
-consumes, and the closed-form parameter gradients of the mean negative
-log-density (``_loss_and_grads``), on which the flow trains through the
-training loop ``models.fit_adam`` that the classifiers share. The graph form
-on the autodiff tape (``log_prob_tensor``) is the reference: the tests check
-both gradients against it, the parameter gradients bit for bit.
+form returns, with each transform's output, one closed-form VJP in the
+tape's order. The counterfactual search chains it for the input gradient of
+the log-density (``log_prob_and_input_grad``); training chains the same VJP
+for the parameter gradients of the mean negative log-density
+(``_loss_and_grads``), on which the flow trains through the training loop
+``models.fit_adam`` that the classifiers share. The graph form on the
+autodiff tape (``log_prob_tensor``) is the reference: the tests check both
+gradients against it bit for bit.
 """
 
 from __future__ import annotations
@@ -97,20 +98,18 @@ class MadeTransform:
         return z, ad.tsum(log_scale, axis=1)
 
     # numpy path ---------------------------------------------------------
-    def _shift_log_scale_np(self, x: np.ndarray, context: np.ndarray,
-                            param_grads: bool = False):
-        """Shift, log-scale and the VJP (g_shift, g_log_scale) -> g_x.
+    def _shift_log_scale_np(self, x: np.ndarray, context: np.ndarray):
+        """Shift, log-scale and their VJP.
 
-        With ``param_grads`` the VJP is ``vjp(g_shift, g_log_scale,
-        input_grad) -> (g_x, grads)``, as the tape computes them: g_x only
-        if ``input_grad`` (else None), and the gradient of each of
-        ``params``. Only that VJP keeps the activations alive; the search's
-        must not, or every search step slows.
+        The VJP maps ``(g_shift, g_log_scale)`` to ``(g_x, param_grads)``,
+        taking the tape's steps in the tape's order: ``g_x`` and the list
+        that ``param_grads()`` returns (the gradient of each of ``params``)
+        equal the tape's bit for bit. The search never calls ``param_grads``,
+        so it costs nothing there.
         """
         w1, b1, w2, b2, wm, bm, wa, ba = self.params
         m1, m2, mo = self.masks
         w1, w2, wm, wa = w1 * m1, w2 * m2, wm * mo, wa * mo
-        # the input VJP keeps boolean masks, not the float pre-activations
         inp = np.concatenate([x, context], axis=1)
         pre = inp @ w1 + b1
         relu1 = pre > 0.0
@@ -121,60 +120,42 @@ class MadeTransform:
         raw = h @ wa + ba
         unclipped = (raw > -LOG_SCALE_BOUND) & (raw < LOG_SCALE_BOUND)
 
-        def backward(g_shift, g_log_scale):
-            """Cotangents of the raw log-scale and of both pre-activations."""
+        def vjp(g_shift, g_log_scale):
             g_raw = g_log_scale * unclipped
             g2 = (g_shift @ wm.T + g_raw @ wa.T) * relu2
-            return g_raw, g2, (g2 @ w2.T) * relu1
+            g1 = (g2 @ w2.T) * relu1
 
-        if param_grads:
-            def vjp(g_shift, g_log_scale, input_grad):
-                g_raw, g2, g1 = backward(g_shift, g_log_scale)
-                grads = [(inp.T @ g1) * m1, g1.sum(axis=0),
-                         (h1.T @ g2) * m2, g2.sum(axis=0),
-                         (h.T @ g_shift) * mo, g_shift.sum(axis=0),
-                         (h.T @ g_raw) * mo, g_raw.sum(axis=0)]
-                # the whole input's cotangent, as the tape forms it, then
-                # the data columns: bit for bit the tape's
-                g_x = (g1 @ w1.T)[:, : self.d] if input_grad else None
-                return g_x, grads
-        else:
-            def vjp(g_shift, g_log_scale):
-                # only the data columns of the input need a cotangent
-                return backward(g_shift, g_log_scale)[2] @ w1[: self.d].T
+            def param_grads():
+                return [(inp.T @ g1) * m1, g1.sum(axis=0),
+                        (h1.T @ g2) * m2, g2.sum(axis=0),
+                        (h.T @ g_shift) * mo, g_shift.sum(axis=0),
+                        (h.T @ g_raw) * mo, g_raw.sum(axis=0)]
+
+            # the whole input's cotangent, as the tape forms it, then its
+            # data columns
+            return (g1 @ w1.T)[:, : self.d], param_grads
 
         shift = h @ wm + bm
         return shift, np.clip(raw, -LOG_SCALE_BOUND, LOG_SCALE_BOUND), vjp
 
-    def inverse_and_vjp(self, x: np.ndarray, context: np.ndarray,
-                        param_grads: bool = False):
+    def inverse_and_vjp(self, x: np.ndarray, context: np.ndarray):
         """Data -> latent: z, per-row sum of log-scales, and their VJP.
 
         The VJP maps cotangents ``(g_z, g_log_scale_sum)`` of shapes (n, d)
-        and (n,) to the cotangent on ``x``. With ``param_grads`` it is
-        ``vjp(g_z, g_log_scale_sum, input_grad) -> (g_x, grads)``, as in
-        ``_shift_log_scale_np``.
+        and (n,) to ``(g_x, param_grads)``, as in ``_shift_log_scale_np``.
         """
-        shift, log_scale, conditioner_vjp = self._shift_log_scale_np(
-            x, context, param_grads
-        )
+        shift, log_scale, conditioner_vjp = self._shift_log_scale_np(x, context)
         diff = x - shift
         scale = np.exp(-log_scale)
         z = diff * scale
 
-        if param_grads:
-            def vjp(g_z, g_log_scale_sum, input_grad):
-                g_diff = g_z * scale
-                # the tape's order, (g_z * diff) * scale, rounds unlike g_z * z
-                g_log_scale = g_log_scale_sum[:, None] - g_z * diff * scale
-                g_x, grads = conditioner_vjp(-g_diff, g_log_scale, input_grad)
-                return (g_diff + g_x if input_grad else None), grads
-        else:
-            def vjp(g_z, g_log_scale_sum):
-                g_diff = g_z * scale
-                # dz/dlog_scale = -z on the diagonal
-                g_log_scale = g_log_scale_sum[:, None] - g_z * z
-                return g_diff + conditioner_vjp(-g_diff, g_log_scale)
+        def vjp(g_z, g_log_scale_sum):
+            g_diff = g_z * scale
+            # dz/dlog_scale = -z on the diagonal, in the tape's order:
+            # (g_z * diff) * scale rounds unlike g_z * z
+            g_log_scale = g_log_scale_sum[:, None] - g_z * diff * scale
+            g_x, param_grads = conditioner_vjp(-g_diff, g_log_scale)
+            return g_diff + g_x, param_grads
 
         return z, log_scale.sum(axis=1), vjp
 
@@ -251,14 +232,14 @@ class MaskedAutoregressiveFlow(BaseEstimator):
         )
         return base - total_log_scale
 
-    def _inverse_stack(self, X: np.ndarray, y, param_grads: bool = False):
+    def _inverse_stack(self, X: np.ndarray, y):
         """Latent of every row, the summed log-scales, and each transform's VJP."""
         context = self._context(y, X.shape[0])
         z = X
         total = np.zeros(X.shape[0])
         vjps = []
         for tr in self.transforms_:
-            z, row_log_scale, vjp = tr.inverse_and_vjp(z, context, param_grads)
+            z, row_log_scale, vjp = tr.inverse_and_vjp(z, context)
             total += row_log_scale
             vjps.append(vjp)
         return z, total, vjps
@@ -275,17 +256,18 @@ class MaskedAutoregressiveFlow(BaseEstimator):
     def log_prob_and_input_grad(self, X: np.ndarray, y):
         """Per-row log p(x|y) and its gradient with respect to that row.
 
-        Closed-form reverse pass through the stack; no autodiff graph is
-        built and no parameter gradient is touched. Rows never interact, so
-        a row whose values overflow comes back non-finite on its own
-        instead of raising.
+        Closed-form reverse pass through the stack, in the tape's order, so
+        both equal ``log_prob_tensor`` and its backward bit for bit; no
+        autodiff graph is built and no parameter gradient is computed. Rows
+        never interact, so a row whose values overflow comes back non-finite
+        on its own instead of raising.
         """
         X = np.asarray(X, dtype=np.float64)
         z, total, vjps = self._inverse_stack(X, y)
         grad = -z
         per_row = np.full(X.shape[0], -1.0)  # d logp / d(summed log-scales)
         for vjp in reversed(vjps):
-            grad = vjp(grad, per_row)
+            grad, _ = vjp(grad, per_row)
         return self._base_log_prob(z) - total, grad
 
     def _loss_and_grads(self, X: np.ndarray, y):
@@ -295,15 +277,15 @@ class MaskedAutoregressiveFlow(BaseEstimator):
         step in the tape's order, so each gradient equals the tape's bit for
         bit. The gradients follow the transforms' ``params`` in stack order.
         """
-        z, total, vjps = self._inverse_stack(X, y, param_grads=True)
+        z, total, vjps = self._inverse_stack(X, y)
         # the tape's cotangents of z (through the base log-density's square)
         # and of every transform's summed log-scales
         g_z = z * (1.0 / X.shape[0])
         g_log_scale_sum = np.full(X.shape[0], 1.0 / X.shape[0])
         grads = []
-        for k, vjp in reversed(list(enumerate(vjps))):
-            g_z, transform_grads = vjp(g_z, g_log_scale_sum, k > 0)
-            grads[:0] = transform_grads
+        for vjp in reversed(vjps):
+            g_z, param_grads = vjp(g_z, g_log_scale_sum)
+            grads[:0] = param_grads()
         return -np.mean(self._base_log_prob(z) - total), grads
 
     def inverse(self, X, y):

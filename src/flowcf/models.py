@@ -1,12 +1,12 @@
 """Differentiable classifiers: logistic regression and a 3-layer MLP.
 
-Both expose a numpy ``predict_proba`` / ``predict`` surface plus
-``proba_and_input_vjp``, which returns the probabilities together with their
-closed-form vector-Jacobian product with respect to the input; the
-counterfactual search runs on that. Training minimizes the cross-entropy
-through ``_loss_and_grads``, a closed-form numpy reverse pass that also
-returns the parameter gradients. It takes the autodiff tape's steps in the
-tape's order, so its gradients equal the tape's bit for bit; the tape form
+Both expose a numpy ``predict_proba`` / ``predict`` surface. Each writes its
+backward once, as the closed-form VJP of ``_logits_and_vjp``, which takes the
+autodiff tape's steps in the tape's order. ``proba_and_input_vjp`` chains it
+for the probabilities' vector-Jacobian product with respect to the input,
+which the counterfactual search runs on; training minimizes the
+cross-entropy through ``_loss_and_grads``, which chains the same VJP for the
+parameter gradients. Both equal the tape's bit for bit; the tape form
 (``predict_proba_tensor``) stays as the reference the tests check against.
 ``fit_adam`` here is the one training loop (minibatch Adam, early stopping,
 best-parameter restore); the flow trains through it too. Adam steps each
@@ -167,10 +167,10 @@ class _GradientClassifier(BaseEstimator):
         raise NotImplementedError
 
     def _logits_and_vjp(self, X: np.ndarray):
-        """Numpy logits and two closures on d/dlogits.
+        """Numpy logits and their VJP ``g -> (g_x, param_grads)``.
 
-        The first maps it to d/dX, the second to the list of gradients of
-        ``_params``, each as the tape computes it.
+        ``g`` is d/dlogits; ``g_x`` is d/dX, and ``param_grads()`` returns
+        the list of gradients of ``_params``, each as the tape computes it.
         """
         raise NotImplementedError
 
@@ -207,7 +207,7 @@ class _GradientClassifier(BaseEstimator):
 
     def _cross_entropy(self, X: np.ndarray, y: np.ndarray):
         """Mean cross-entropy of the rows, and a closure giving its parameter gradients."""
-        logits, _, param_vjp = self._logits_and_vjp(X)
+        logits, vjp = self._logits_and_vjp(X)
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         onehot = _one_hot(y, self.n_classes_)
@@ -215,7 +215,7 @@ class _GradientClassifier(BaseEstimator):
         def backward():
             # d/dlogp of the mean, then log_softmax's backward, as on the tape
             g = (-1.0 / X.shape[0]) * onehot
-            return param_vjp(g - np.exp(logp) * g.sum(axis=1, keepdims=True))
+            return vjp(g - np.exp(logp) * g.sum(axis=1, keepdims=True))[1]()
 
         return -1.0 * (logp * onehot).sum(axis=1).mean(), backward
 
@@ -245,15 +245,15 @@ class _GradientClassifier(BaseEstimator):
 
         The VJP maps an (n, n_classes) cotangent on the probabilities to the
         (n, n_features) cotangent on ``X``. Rows never interact, and no
-        parameter gradient is computed or stored.
+        parameter gradient is computed.
         """
-        logits, logits_vjp, _ = self._logits_and_vjp(X)
+        logits, logits_vjp = self._logits_and_vjp(X)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
 
         def vjp(g: np.ndarray) -> np.ndarray:
             dot = (g * probs).sum(axis=1, keepdims=True)
-            return logits_vjp(probs * (g - dot))
+            return logits_vjp(probs * (g - dot))[0]
 
         return probs, vjp
 
@@ -318,7 +318,7 @@ class LogisticRegression(_GradientClassifier):
 
     def _logits_and_vjp(self, X):
         w, b = self._params
-        return X @ w + b, lambda g: g @ w.T, lambda g: [X.T @ g, g.sum(axis=0)]
+        return X @ w + b, lambda g: (g @ w.T, lambda: [X.T @ g, g.sum(axis=0)])
 
 
 class MlpClassifier(_GradientClassifier):
@@ -357,16 +357,12 @@ class MlpClassifier(_GradientClassifier):
         h2 = np.maximum(pre, 0.0)
 
         def vjp(g):
-            g = (g @ w3.T) * relu2
-            return ((g @ w2.T) * relu1) @ w1.T
-
-        def param_vjp(g):
             g2 = (g @ w3.T) * relu2
             g1 = (g2 @ w2.T) * relu1
-            return [X.T @ g1, g1.sum(axis=0), h1.T @ g2, g2.sum(axis=0),
-                    h2.T @ g, g.sum(axis=0)]
+            return g1 @ w1.T, lambda: [X.T @ g1, g1.sum(axis=0), h1.T @ g2,
+                                       g2.sum(axis=0), h2.T @ g, g.sum(axis=0)]
 
-        return h2 @ w3 + b3, vjp, param_vjp
+        return h2 @ w3 + b3, vjp
 
 
 _ARCHS = {"lr": LogisticRegression, "mlp": MlpClassifier}

@@ -155,6 +155,8 @@ _BAD_SPECS = {
                             "bogus"),
     "dataset-bad-value": ("run", {"dataset": {"name": "moons", "n": "abc"}},
                           "'abc'"),
+    "dataset-negative-noise": ("run", {"dataset": {"name": "moons", "noise": -5}},
+                               "noise must be a finite number >= 0"),
     "dataset-compare-density": (
         "compare-density", {"dataset": {"name": "moons", "bogus": 1}}, "bogus"),
     "csv-without-label-column": ("run", {"dataset": _csv_without_label_key},

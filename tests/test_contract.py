@@ -28,6 +28,8 @@ from flowcf import (
     compute_delta,
     evaluate,
     generate,
+    make_blobs,
+    make_moons,
     wachter_generate,
 )
 
@@ -106,6 +108,13 @@ BAD = {
     "gmm-max-iter-0": lambda m: GaussianMixtureDensity(max_iter=0),
     "gmm-tol-negative": lambda m: GaussianMixtureDensity(tol=-1.0),
     "kde-bandwidth-0": lambda m: KernelDensity(bandwidth=0.0),
+    # dataset generators
+    "moons-noise-negative": lambda m: make_moons(noise=-0.3),
+    "moons-noise-nan": lambda m: make_moons(noise=float("nan")),
+    "moons-n-2.5": lambda m: make_moons(n=2.5),
+    "blobs-centers-2.5": lambda m: make_blobs(centers=2.5),
+    "blobs-n-0": lambda m: make_blobs(n=0),
+    "blobs-n-2.5": lambda m: make_blobs(n=2.5),
 }
 
 WRONG_WIDTH = {

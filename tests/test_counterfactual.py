@@ -635,3 +635,28 @@ def test_fused_wachter_gradient_matches_tape(arch, n_classes, distance_kind):
     objective = _wachter_objective(x0, targets, clf, cfg)
     tape_f = _tape_objective(clf, flow, delta, x0, targets, cfg, wachter=True)
     assert _fused_against_tape(objective, tape_f, x) <= 1e-10
+
+
+@pytest.mark.parametrize("n_transforms", [1, 2])
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("arch", ["lr", "mlp"])
+def test_search_input_gradients_equal_the_tape(arch, n_classes, n_transforms):
+    # the models and batch of test_fused_objective_gradient_matches_tape,
+    # whose log-scale clip and first ReLU take both branches
+    clf, flow = _random_models(arch, n_classes, n_transforms, seed=n_transforms)
+    _, x, targets, _ = _search_batch(clf, flow, n_classes, seed=1)
+
+    logp, grad = flow.log_prob_and_input_grad(x, targets)
+    xt = Tensor(x.copy(), requires_grad=True)
+    tape_logp = flow.log_prob_tensor(xt, targets)
+    ad.tsum(tape_logp).backward()
+    assert np.array_equal(logp, tape_logp.data)
+    assert np.array_equal(grad, xt.grad)
+
+    G = np.random.default_rng(4).normal(size=(x.shape[0], n_classes))
+    probs, vjp = clf.proba_and_input_vjp(x)
+    xt = Tensor(x.copy(), requires_grad=True)
+    tape_probs = clf.predict_proba_tensor(xt)
+    ad.tsum(tape_probs * Tensor(G)).backward()
+    assert np.array_equal(probs, tape_probs.data)
+    assert np.array_equal(vjp(G), xt.grad)
