@@ -8,23 +8,13 @@ flow) as a typical training example of the target class.
 
 __version__ = "0.1.0"
 
-from .autodiff import (
-    DimensionError,
-    DomainError,
-    Tensor,
-    finite_difference_check,
-)
-from .base import BaseEstimator, check_array, check_labels, check_X_y
+from .base import BaseEstimator, DimensionError, check_array, check_labels, check_X_y
 from .counterfactual import (
     CfConfig,
     CfResult,
     DensityThreshold,
     compute_delta,
-    distance,
     generate,
-    plausibility_loss,
-    validity_loss_binary,
-    validity_loss_multiclass,
     wachter_generate,
 )
 from .data import (
@@ -39,12 +29,7 @@ from .data import (
     stratified_kfold,
 )
 from .density import GaussianMixtureDensity, GmmFitError, KernelDensity
-from .flows import (
-    FlowNumericsError,
-    MadeTransform,
-    MaskedAutoregressiveFlow,
-    load_flow,
-)
+from .flows import FlowNumericsError, MaskedAutoregressiveFlow, load_flow
 from .metrics import (
     EvaluationReport,
     IsolationForest,
@@ -62,16 +47,13 @@ from .models import (
 
 __all__ = [
     "__version__",
-    "Tensor", "DimensionError", "DomainError",
-    "finite_difference_check",
-    "BaseEstimator", "check_array", "check_labels", "check_X_y",
+    "DimensionError", "BaseEstimator", "check_array", "check_labels", "check_X_y",
     "TrainConfig", "LogisticRegression", "MlpClassifier", "load_classifier",
-    "MadeTransform", "MaskedAutoregressiveFlow", "FlowNumericsError",
+    "MaskedAutoregressiveFlow", "FlowNumericsError",
     "TrainingError", "load_flow",
     "GaussianMixtureDensity", "KernelDensity", "GmmFitError",
-    "CfConfig", "CfResult", "DensityThreshold", "compute_delta", "distance",
-    "generate", "wachter_generate", "plausibility_loss",
-    "validity_loss_binary", "validity_loss_multiclass",
+    "CfConfig", "CfResult", "DensityThreshold", "compute_delta",
+    "generate", "wachter_generate",
     "EvaluationReport", "LocalOutlierFactor", "IsolationForest", "evaluate",
     "fit_detectors",
     "Dataset", "SplitPlan", "MinMaxScaler", "make_moons", "make_blobs",

@@ -157,6 +157,17 @@ def _distance_and_grad(x0: np.ndarray, x: np.ndarray, kind: str):
     return dist, delta * (1.0 / dist)[:, None]
 
 
+def _runner_up(probs: np.ndarray, exclude: np.ndarray) -> np.ndarray:
+    """Each row's most probable class other than ``exclude``.
+
+    The excluded column is masked to -inf, so a class with probability 0
+    still beats it; ties go to the lower index, as in ``ad.row_max``.
+    """
+    masked = probs.copy()
+    masked[np.arange(exclude.size), exclude] = -np.inf
+    return masked.argmax(axis=1)
+
+
 def _validity_and_grad(probs: np.ndarray, targets: np.ndarray, kind: str,
                        epsilon: float):
     """Per-row validity loss, its gradient with respect to ``probs``, and margin.
@@ -171,11 +182,7 @@ def _validity_and_grad(probs: np.ndarray, targets: np.ndarray, kind: str,
         margin = 0.5 + epsilon - p_target
         rival = None
     else:
-        # the target column is masked to -inf, so a rival with probability 0
-        # still beats it; ties resolve toward the lower index, as in ad.row_max
-        rivals = probs.copy()
-        rivals[rows, targets] = -np.inf
-        rival = rivals.argmax(axis=1)
+        rival = _runner_up(probs, targets)
         margin = probs[rows, rival] + epsilon - p_target
     grad = np.zeros_like(probs)
     if kind == "cross_entropy":

@@ -127,6 +127,7 @@ def make_blobs(
     seed: int = 0,
 ) -> Dataset:
     """Equal-size isotropic Gaussian clusters around well-separated centers."""
+    _check_number("std", std)
     rng = np.random.default_rng(seed)
     if np.isscalar(centers):
         _check_count("centers", centers, minimum=2)
@@ -137,8 +138,10 @@ def make_blobs(
         else:
             locs = rng.uniform(0.0, 8.0 * k * std, size=(k, 2))
     else:
-        locs = np.asarray(centers, dtype=np.float64)
+        locs = check_array(centers, name="centers")
         k = locs.shape[0]
+        if k < 2:
+            raise ValueError(f"centers must have at least 2 rows, got {k}")
     _check_count("n", n, minimum=k)  # a point per center
     d = locs.shape[1]
     sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
@@ -225,6 +228,7 @@ def downsample_majority(data: Dataset, seed: int = 0) -> Dataset:
 
 def stratified_kfold(data: Dataset, k: int = 5, seed: int = 0) -> SplitPlan:
     """Partition indices into k folds with near-proportional class counts."""
+    _check_count("k", k, minimum=2)
     counts = data.class_counts()
     small = np.flatnonzero((counts > 0) & (counts < k))
     if small.size:

@@ -140,6 +140,8 @@ class KernelDensity(BaseEstimator):
                 h = float(self.bandwidth)
             else:
                 n, d = Xc.shape
+                if n < 2:
+                    raise ValueError(f"class {c}: Scott's rule needs at least 2 rows")
                 stds = Xc.std(axis=0, ddof=1)
                 stds = np.where(stds > 0, stds, 1e-6)
                 h = float(n ** (-1.0 / (d + 4)) * np.exp(np.log(stds).mean()))

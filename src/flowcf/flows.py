@@ -307,8 +307,7 @@ class MaskedAutoregressiveFlow(BaseEstimator):
     def sample(self, y, n_samples: int | None = None, seed: int = 0) -> np.ndarray:
         y = np.asarray(y)
         if y.ndim == 0:
-            if n_samples is None or n_samples < 1:
-                raise ValueError("n_samples must be >= 1 for a scalar label")
+            _check_count("n_samples", n_samples)
             y = np.full(n_samples, y)
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((y.shape[0], self.d_))

@@ -7,8 +7,9 @@ log-densities, which it returns with the report and does not write into
 the results. ``fit_detectors`` fits LOF and Isolation Forest on the
 training split (all classes); they score counterfactuals in novelty mode,
 so the numbers measure realism with respect to the data rather than the
-target class alone. L1/L2 costs use the same numpy distance helper as the
-counterfactual search.
+target class alone. The forest's trees are flat preorder arrays, and each
+tree scores a whole batch in one array descent. L1/L2 costs use the same
+numpy distance helper as the counterfactual search.
 """
 
 from __future__ import annotations
@@ -117,22 +118,13 @@ def _avg_path_correction(n: int) -> float:
     return 2.0 * (np.log(n - 1.0) + _EULER_GAMMA) - 2.0 * (n - 1.0) / n
 
 
-class _IsoNode:
-    __slots__ = ("feature", "threshold", "left", "right", "size")
-
-    def __init__(self, feature=None, threshold=None, left=None, right=None, size=0):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.size = size
-
-
 class IsolationForest(BaseEstimator):
     """Random partition trees; scores reported on a (-0.5, 0.5) scale.
 
     Positive values mark normal points and values toward -0.5 mark
-    anomalies (0.5 minus the classic 2^(-E[h]/c) anomaly score).
+    anomalies (0.5 minus the classic 2^(-E[h]/c) anomaly score). Each tree
+    is four preorder arrays, ``(feature, threshold, right, size)``: a
+    split's left child is the next row, and a leaf has feature -1.
     """
 
     def __init__(self, n_trees: int = 100, subsample: int = 256, seed: int = 0):
@@ -154,44 +146,47 @@ class IsolationForest(BaseEstimator):
         self.trees_ = []
         for _ in range(self.n_trees):
             sample = X[rng.choice(X.shape[0], size=psi, replace=False)]
-            self.trees_.append(self._grow(sample, 0, height_limit, rng))
+            rows = []
+            self._grow(sample, 0, height_limit, rng, rows)
+            self.trees_.append(tuple(map(np.array, zip(*rows))))
         return self
 
-    def _grow(self, X, depth, limit, rng) -> _IsoNode:
+    def _grow(self, X, depth, limit, rng, rows) -> None:
+        """Append X's subtree to ``rows`` in preorder, one row per node."""
         n = X.shape[0]
+        row = [-1, 0.0, -1, n]  # feature, threshold, right, size
+        rows.append(row)
         if depth >= limit or n <= 1:
-            return _IsoNode(size=n)
+            return
         lo = X.min(axis=0)
         hi = X.max(axis=0)
         usable = np.flatnonzero(hi > lo)
         if usable.size == 0:
-            return _IsoNode(size=n)
+            return
         feature = int(rng.choice(usable))
         threshold = float(rng.uniform(lo[feature], hi[feature]))
         mask = X[:, feature] < threshold
-        return _IsoNode(
-            feature=feature,
-            threshold=threshold,
-            left=self._grow(X[mask], depth + 1, limit, rng),
-            right=self._grow(X[~mask], depth + 1, limit, rng),
-            size=n,
-        )
-
-    def _path_length(self, x: np.ndarray, node: _IsoNode) -> float:
-        depth = 0.0
-        while node.feature is not None:
-            node = node.left if x[node.feature] < node.threshold else node.right
-            depth += 1.0
-        return depth + _avg_path_correction(node.size)
+        self._grow(X[mask], depth + 1, limit, rng, rows)
+        row[:3] = feature, threshold, len(rows)
+        self._grow(X[~mask], depth + 1, limit, rng, rows)
 
     def score_samples(self, X) -> np.ndarray:
+        """All rows descend each tree together; path lengths average over trees."""
         X = check_array(X, n_features=self.n_features_)
-        c = _avg_path_correction(self._psi)
-        scores = np.empty(X.shape[0])
-        for i, x in enumerate(X):
-            mean_path = np.mean([self._path_length(x, t) for t in self.trees_])
-            scores[i] = 0.5 - 2.0 ** (-mean_path / c)
-        return scores
+        correction = np.array([_avg_path_correction(n) for n in range(self._psi + 1)])
+        paths = np.empty((X.shape[0], len(self.trees_)))
+        for t, (feature, threshold, right, size) in enumerate(self.trees_):
+            node = np.zeros(X.shape[0], dtype=np.intp)
+            depth = np.zeros(X.shape[0])
+            inner = feature[node] >= 0
+            while inner.any():
+                at = node[inner]
+                left = X[inner, feature[at]] < threshold[at]
+                node[inner] = np.where(left, at + 1, right[at])
+                depth += inner
+                inner = feature[node] >= 0
+            paths[:, t] = depth + correction[size[node]]
+        return 0.5 - 2.0 ** (-paths.mean(axis=1) / correction[self._psi])
 
 
 # aggregate metrics ----------------------------------------------------------

@@ -29,6 +29,7 @@ from .counterfactual import (
     CfConfig,
     DensityThreshold,
     _plausible_objective,
+    _runner_up,
     _search,
     _validity_and_grad,
     _wachter_objective,
@@ -127,7 +128,7 @@ def build_dataset(spec: dict, seed: int) -> Dataset:
             return make_moons(seed=seed, **kwargs)
         if name == "blobs":
             return make_blobs(seed=seed, **kwargs)
-        if name == "csv" or "path" in kwargs:
+        if name == "csv":
             data, rejected = load_csv(**kwargs)
             if rejected:
                 warnings.warn(f"{spec['path']}: rejected rows {rejected}", stacklevel=2)
@@ -179,14 +180,9 @@ def build_flow(spec: dict, seed: int) -> MaskedAutoregressiveFlow:
 
 
 def select_targets(clf, X: np.ndarray) -> np.ndarray:
-    """Binary: the other class; multiclass: the runner-up class."""
+    """The runner-up class: for two classes, the one not predicted."""
     probs = clf.predict_proba(X)
-    preds = probs.argmax(axis=1)
-    if probs.shape[1] == 2:
-        return 1 - preds
-    masked = probs.copy()
-    masked[np.arange(len(preds)), preds] = -np.inf
-    return masked.argmax(axis=1)
+    return _runner_up(probs, probs.argmax(axis=1))
 
 
 def _write_cf_csv(path, x0, results, log_density, feature_names):
@@ -262,25 +258,26 @@ def run_fold(fitted: tuple, config: RunConfig, feature_names: list[str],
     return report
 
 
+def _summary(values) -> dict:
+    """The mean and the sample std of ``values``; the std is None for one value."""
+    arr = np.asarray(values, dtype=np.float64)
+    return {"mean": float(arr.mean()),
+            "std": float(arr.std(ddof=1)) if arr.size > 1 else None}
+
+
 def _aggregate(reports: list[EvaluationReport]) -> dict:
     if not reports:
         return {}
     agg = {}
     for col in _REPORT_COLUMNS:
         values = [getattr(r, col) for r in reports]
-        if any(v is None for v in values):
-            agg[col] = {"mean": None, "std": None}
-            continue
-        arr = np.asarray(values, dtype=np.float64)
-        agg[col] = {
-            "mean": float(arr.mean()),
-            "std": float(arr.std(ddof=1)) if arr.size > 1 else None,
-        }
+        none = any(v is None for v in values)
+        agg[col] = {"mean": None, "std": None} if none else _summary(values)
     return agg
 
 
 def _splits(config: RunConfig) -> tuple[Dataset, list]:
-    """The class-balanced dataset and its (train, test) index pairs.
+    """The class-balanced dataset and its (train, test, fold seed) triples.
 
     ``k_folds == 1`` is fold 0 of a 5-fold plan, so a single split still
     holds out a fifth of the data.
@@ -289,7 +286,8 @@ def _splits(config: RunConfig) -> tuple[Dataset, list]:
                                seed=config.seed)
     k = config.k_folds if config.k_folds > 1 else 5
     plan = stratified_kfold(data, k=k, seed=config.seed)
-    return data, [plan.train_test(i) for i in range(config.k_folds)]
+    return data, [(*plan.train_test(i), config.seed + i)
+                  for i in range(config.k_folds)]
 
 
 def _failure(fold: int, err: Exception) -> dict:
@@ -323,10 +321,9 @@ def _run(configs: list[RunConfig]) -> list[ExperimentRecord]:
                 json.dump(config.to_dict(), fh, indent=2)
 
     runs = [(config, [], []) for config in configs]  # config, reports, failures
-    for fold, (train_idx, test_idx) in enumerate(splits):
+    for fold, (train_idx, test_idx, fold_seed) in enumerate(splits):
         try:
-            fitted = fit_fold(data, train_idx, test_idx, configs[0],
-                              configs[0].seed + fold)
+            fitted = fit_fold(data, train_idx, test_idx, configs[0], fold_seed)
         except _FOLD_ERRORS as err:  # fold isolation: record and continue
             for _, _, failures in runs:
                 failures.append(_failure(fold, err))
@@ -423,11 +420,10 @@ def compare_density(config: RunConfig) -> dict:
     """Mean test log-density per estimator (flow, KDE, max-component GMM)."""
     data, splits = _splits(config)
     per_estimator: dict[str, list[float]] = {"maf": [], "kde": [], "gmm": []}
-    for fold, (train_idx, test_idx) in enumerate(splits):
+    for train_idx, test_idx, fold_seed in splits:
         _, X_train, X_test = _scale(data, train_idx, test_idx)
         y_train = data.labels[train_idx]
         y_test = data.labels[test_idx]
-        fold_seed = config.seed + fold
 
         flow = build_flow(config.flow, fold_seed).fit(X_train, y_train)
         per_estimator["maf"].append(
@@ -444,13 +440,7 @@ def compare_density(config: RunConfig) -> dict:
             float(np.mean(gmm.score_samples(X_test, y_test)))
         )
 
-    table = {
-        name: {
-            "mean": float(np.mean(vals)),
-            "std": float(np.std(vals, ddof=1)) if len(vals) > 1 else None,
-        }
-        for name, vals in per_estimator.items()
-    }
+    table = {name: _summary(vals) for name, vals in per_estimator.items()}
     if config.out:
         out_root = Path(config.out)
         out_root.mkdir(parents=True, exist_ok=True)

@@ -438,16 +438,19 @@ def _brute_lof(reference, queries, k):
 
 
 def _brute_isoforest(forest, queries):
-    def path(node, x, depth):
-        if node.feature is None:
-            return depth + _avg_path_correction(node.size)
-        child = node.left if x[node.feature] < node.threshold else node.right
-        return path(child, x, depth + 1)
+    """One query and one tree at a time: walk the preorder arrays, count depth."""
+    def path(tree, x):
+        feature, threshold, right, size = tree
+        node, depth = 0, 0
+        while feature[node] >= 0:
+            node = node + 1 if x[feature[node]] < threshold[node] else right[node]
+            depth += 1
+        return depth + _avg_path_correction(size[node])
 
     c = _avg_path_correction(forest._psi)
     return np.array(
         [
-            0.5 - 2.0 ** (-np.mean([path(t, q, 0.0) for t in forest.trees_]) / c)
+            0.5 - 2.0 ** (-np.mean([path(t, q) for t in forest.trees_]) / c)
             for q in queries
         ]
     )

@@ -157,6 +157,15 @@ _BAD_SPECS = {
                           "'abc'"),
     "dataset-negative-noise": ("run", {"dataset": {"name": "moons", "noise": -5}},
                                "noise must be a finite number >= 0"),
+    "dataset-blobs-centers-1d": (
+        "run", {"dataset": {"name": "blobs", "centers": [1, 2]}},
+        "centers must be 2-dimensional"),
+    "dataset-blobs-centers-one-row": (
+        "run", {"dataset": {"name": "blobs", "centers": [[0, 0]]}},
+        "centers must have at least 2 rows"),
+    "dataset-blobs-negative-std": (
+        "run", {"dataset": {"name": "blobs", "std": -1}},
+        "std must be a finite number >= 0"),
     "dataset-compare-density": (
         "compare-density", {"dataset": {"name": "moons", "bogus": 1}}, "bogus"),
     "csv-without-label-column": ("run", {"dataset": _csv_without_label_key},

@@ -30,6 +30,7 @@ from flowcf import (
     generate,
     make_blobs,
     make_moons,
+    stratified_kfold,
     wachter_generate,
 )
 
@@ -115,6 +116,30 @@ BAD = {
     "blobs-centers-2.5": lambda m: make_blobs(centers=2.5),
     "blobs-n-0": lambda m: make_blobs(n=0),
     "blobs-n-2.5": lambda m: make_blobs(n=2.5),
+    "blobs-centers-1d": lambda m: make_blobs(centers=[1, 2]),
+    "blobs-centers-one-row": lambda m: make_blobs(centers=[[0, 0]]),
+    "blobs-std-negative": lambda m: make_blobs(std=-1),
+    # counts and sizes
+    "flow-sample-n-2.5": lambda m: m.flow.sample(0, n_samples=2.5),
+    "flow-sample-n-true": lambda m: m.flow.sample(0, n_samples=True),
+    "kfold-k-2.5": lambda m: stratified_kfold(make_moons(n=20), k=2.5),
+    "kfold-k-0": lambda m: stratified_kfold(make_moons(n=20), k=0),
+    "kfold-k-1": lambda m: stratified_kfold(make_moons(n=20), k=1),
+    "kde-scott-class-of-one": lambda m: KernelDensity().fit(m.X[:41], m.y[:41]),
+}
+
+# numpy raises unlabelled ValueErrors for some of these inputs, so the message
+# must name what was wrong
+LABELS = {
+    "blobs-centers-1d": "centers",
+    "blobs-centers-one-row": "centers",
+    "blobs-std-negative": "std",
+    "flow-sample-n-2.5": "n_samples",
+    "flow-sample-n-true": "n_samples",
+    "kfold-k-2.5": "k must",
+    "kfold-k-0": "k must",
+    "kfold-k-1": "k must",
+    "kde-scott-class-of-one": "class 1",
 }
 
 WRONG_WIDTH = {
@@ -135,10 +160,10 @@ WRONG_WIDTH = {
 }
 
 
-@pytest.mark.parametrize("call", BAD.values(), ids=BAD.keys())
-def test_bad_input_raises_value_error(m, call):
-    with pytest.raises(ValueError):
-        call(m)
+@pytest.mark.parametrize("name", BAD)
+def test_bad_input_raises_value_error(m, name):
+    with pytest.raises(ValueError, match=LABELS.get(name)):
+        BAD[name](m)
 
 
 @pytest.mark.parametrize("call", WRONG_WIDTH.values(), ids=WRONG_WIDTH.keys())

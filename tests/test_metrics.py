@@ -183,6 +183,22 @@ def test_isoforest_seed_determinism():
     assert np.array_equal(a, b)
 
 
+def test_isoforest_trees_are_preorder_arrays():
+    rng = np.random.default_rng(4)
+    # eight equal rows: a subsample can hold a leaf of several points that no
+    # split separates
+    ref = np.vstack([rng.normal(size=(60, 3)), np.zeros((8, 3))])
+    forest = IsolationForest(n_trees=10, subsample=64, seed=0).fit(ref)
+    for feature, threshold, right, size in forest.trees_:
+        split = np.flatnonzero(feature >= 0)
+        leaf = feature < 0
+        # a split's children are the next row and ``right``; their sizes add up
+        assert np.all(right[split] > split + 1)
+        assert np.array_equal(size[split + 1] + size[right[split]], size[split])
+        assert size[0] == size[leaf].sum() == 64
+        assert np.all(feature[leaf] == -1)
+
+
 def test_isoforest_needs_two_points():
     with pytest.raises(ValueError):
         IsolationForest().fit(np.zeros((1, 2)))

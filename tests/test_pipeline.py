@@ -49,6 +49,16 @@ def test_build_dataset_dispatch():
         build_dataset({"name": "galaxy"}, seed=0)
 
 
+def test_build_dataset_loads_a_csv_only_by_name(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("a,label\n0.1,x\n0.2,y\n", encoding="utf-8")
+    spec = {"path": str(path), "label_column": "label"}
+    assert build_dataset(dict(spec, name="csv"), seed=0).n_samples == 2
+    for misspelled in (dict(spec, name="cvs"), spec):
+        with pytest.raises(ValueError, match="unknown dataset"):
+            build_dataset(misspelled, seed=0)
+
+
 def test_build_classifier_and_flow_pass_settings():
     clf = build_classifier({"arch": "mlp", "hidden": 12, "epochs": 7}, seed=3)
     assert clf.hidden == 12
@@ -177,6 +187,25 @@ def test_all_folds_failing_saves_the_record_then_raises(tmp_path, monkeypatch):
     assert saved["fold_reports"] == [] and saved["aggregate"] == {}
     assert [f["fold"] for f in saved["failed_folds"]] == [0, 1]
     assert all("in broken" in f["traceback"] for f in saved["failed_folds"])
+
+
+def test_run_and_compare_density_train_the_same_flows(monkeypatch):
+    built = []
+    real_build_flow = pipeline.build_flow
+
+    def keep(spec, seed):
+        built.append(real_build_flow(spec, seed))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "build_flow", keep)
+    config = _tiny_config()
+    run_experiment(config)
+    compare_density(config)
+    run_flows, density_flows = built[:2], built[2:]
+    assert len(density_flows) == 2
+    assert run_flows[0].to_dict() != run_flows[1].to_dict()
+    for run_flow, density_flow in zip(run_flows, density_flows):
+        assert run_flow.to_dict() == density_flow.to_dict()
 
 
 _FOLD_ARTIFACTS = ("cfs.csv", "classifier.json", "flow.json", "delta.json",
